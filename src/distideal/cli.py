@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import classify as classify_mod
@@ -92,7 +91,7 @@ def build_parser():
     p.add_argument("--index", type=int, default=None,
                    help="single ideal index (default: all)")
     p.add_argument("--allow-large", action="store_true",
-                   help="lift the n<=8, i<=4 minor-enumeration guard")
+                   help="lift the n<=8 minor-enumeration guard")
 
     p = sub.add_parser("snf", help="Smith normal form of the distance matrix")
     _add_graph_source(p)
@@ -108,8 +107,7 @@ def build_parser():
     _add_format(p)
     p.add_argument("--ring", choices=("Z", "R"), default="Z")
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("DISTIDEAL_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("families", help="verify closed-form family theorems")
     _add_format(p)
@@ -122,15 +120,20 @@ def build_parser():
     return parser
 
 
+def _render_matrix(g):
+    """Rendered entries of D(G, X) and their column-aligned text lines."""
+    rows = [[e.render() for e in row]
+            for row in generalized_distance_matrix(g).entries]
+    width = max(len(s) for row in rows for s in row)
+    return rows, ["[" + "  ".join(s.rjust(width) for s in row) + "]"
+                  for row in rows]
+
+
 def cmd_matrix(args):
     g = _load_graph(args)
-    m = generalized_distance_matrix(g)
-    rows = [[e.render() for e in row] for row in m.entries]
-    width = max(len(s) for row in rows for s in row)
-    text = "\n".join("[" + "  ".join(s.rjust(width) for s in row) + "]"
-                     for row in rows)
+    rows, lines = _render_matrix(g)
     _emit(args, {"schema": "v1", "kind": "matrix", "graph6": emit_graph6(g),
-                 "rows": rows}, text)
+                 "rows": rows}, "\n".join(lines))
     return 0
 
 
@@ -139,12 +142,7 @@ def cmd_ideals(args):
     indices = [args.index] if args.index is not None else None
     report = ideal_report(g, _ring(args.ring), indices,
                           allow_large=args.allow_large)
-    lines = []
-    m = generalized_distance_matrix(g)
-    rows = [[e.render() for e in row] for row in m.entries]
-    width = max(len(s) for row in rows for s in row)
-    for row in rows:
-        lines.append("[" + "  ".join(s.rjust(width) for s in row) + "]")
+    lines = _render_matrix(g)[1] if args.format == "text" else []
     for rec in report["ideals"]:
         lines.append("Distance ideal of size %d (%s)" %
                      (rec["i"], "trivial" if rec["trivial"] else "nontrivial"))

@@ -204,44 +204,33 @@ def _ideals_match(variables, brute, closed):
                         Ideal(ZZ, variables, closed))
 
 
+def _family_row(kind, n, m):
+    """(within the desk-scale bounds, matrix, closed-form determinant or
+    None, indices, closed-form generators of index k) of one instance."""
+    if kind == "complete":
+        return (n <= MAX_VERIFY_N, mdiag_matrix(n, 1), None,
+                range(1, n + 1), lambda k: complete_ideal_gens(n, k))
+    if kind == "mdiag":
+        return (n <= MAX_VERIFY_N and m <= MAX_VERIFY_M, mdiag_matrix(n, m),
+                lambda: mdiag_det(n, m), range(1, n),
+                lambda k: mdiag_ideal_gens(n, m, k))
+    if kind == "star":
+        return (m <= MAX_VERIFY_M, star_matrix(m), lambda: star_det(m),
+                range(1, m + 1), lambda k: star_ideal_gens(m, k))
+    raise ValueError("unknown family kind %r" % (kind,))
+
+
 def verify_family(spec, allow_large=False):
     """True iff the closed-form generators match the brute-force minors
     ideals for every index of the family instance."""
-    if spec.kind == "complete":
-        n = spec.n
-        if n > MAX_VERIFY_N and not allow_large:
-            raise ValueError("bounds exceeded without override")
-        mat = mdiag_matrix(n, 1)
-        for i in range(1, n + 1):
-            brute = minors(mat, i, allow_large=True)
-            if not _ideals_match(mat.vars, brute, complete_ideal_gens(n, i)):
-                return False
-        return True
-    if spec.kind == "mdiag":
-        n, m = spec.n, spec.m
-        if (n > MAX_VERIFY_N or m > MAX_VERIFY_M) and not allow_large:
-            raise ValueError("bounds exceeded without override")
-        mat = mdiag_matrix(n, m)
-        if det_symbolic(mat) != mdiag_det(n, m):
-            return False
-        for k in range(1, n):
-            brute = minors(mat, k, allow_large=True)
-            if not _ideals_match(mat.vars, brute, mdiag_ideal_gens(n, m, k)):
-                return False
-        return True
-    if spec.kind == "star":
-        m = spec.m
-        if m > MAX_VERIFY_M and not allow_large:
-            raise ValueError("bounds exceeded without override")
-        mat = star_matrix(m)
-        if det_symbolic(mat) != star_det(m):
-            return False
-        for k in range(1, m + 1):
-            brute = minors(mat, k, allow_large=True)
-            if not _ideals_match(mat.vars, brute, star_ideal_gens(m, k)):
-                return False
-        return True
-    raise ValueError("unknown family kind %r" % (spec.kind,))
+    within, mat, det, indices, gens = _family_row(spec.kind, spec.n, spec.m)
+    if not within and not allow_large:
+        raise ValueError("bounds exceeded without override")
+    if det is not None and det_symbolic(mat) != det():
+        return False
+    return all(_ideals_match(mat.vars, minors(mat, k, allow_large=True),
+                             gens(k))
+               for k in indices)
 
 
 def verification_table(specs=None):

@@ -288,14 +288,6 @@ class Ideal:
         return self.groebner_basis().is_trivial()
 
 
-def is_trivial(ideal):
-    return ideal.is_trivial()
-
-
-def contains(ideal, f):
-    return ideal.contains(f)
-
-
 def ideals_equal(a, b):
     if a.ring != b.ring or a.vars != b.vars:
         raise ValueError("ideals over different rings or registries")

@@ -6,16 +6,15 @@ evaluation, and the distance characteristic polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
 from . import snf
 from .graph import all_pairs_distances
-from .groebner import GroebnerBasis, Ideal
-from .poly import GREVLEX, QQ, ZZ, Polynomial, exact_div, make_vars
+from .groebner import Ideal
+from .poly import GREVLEX, ZZ, Polynomial, exact_div, make_vars
 
-# guard for the C(n,i)^2 blow-up of full minor enumeration
+# guard for the sum over i of C(n,i)^2 minors a chain expands
 MAX_MINOR_N = 8
-MAX_MINOR_I = 4
 
 
 @dataclass(frozen=True)
@@ -28,14 +27,21 @@ class SymbolicMatrix:
     def n(self):
         return len(self.entries)
 
+    @cached_property
+    def laplace(self):
+        """The matrix's own minor memo, shared by every minor size."""
+        return snf.LaplaceMemo(self.entries,
+                               Polynomial.zero(self.ring, self.vars),
+                               Polynomial.const(self.ring, self.vars, 1))
+
 
 def matrix_from_rows(ring, variables, rows):
     return SymbolicMatrix(ring, tuple(variables),
                           tuple(tuple(row) for row in rows))
 
 
-def generalized_distance_matrix(g, ring=ZZ):
-    """diag(x_0..x_{n-1}) + D(G)."""
+def generalized_distance_matrix(g):
+    """diag(x_0..x_{n-1}) + D(G) over ZZ."""
     dm = all_pairs_distances(g)
     variables = make_vars(g.n)
     rows = []
@@ -43,11 +49,11 @@ def generalized_distance_matrix(g, ring=ZZ):
         row = []
         for v in range(g.n):
             if u == v:
-                row.append(Polynomial.variable(ring, variables, variables[u]))
+                row.append(Polynomial.variable(ZZ, variables, variables[u]))
             else:
-                row.append(Polynomial.const(ring, variables, dm[u][v]))
+                row.append(Polynomial.const(ZZ, variables, dm[u][v]))
         rows.append(row)
-    return matrix_from_rows(ring, variables, rows)
+    return matrix_from_rows(ZZ, variables, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -81,86 +87,32 @@ def det_bareiss(matrix, order=GREVLEX):
     return M[n - 1][n - 1] * sign
 
 
-class _LaplaceMemo:
-    """Shared memo for determinants of all square submatrices."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.memo = {}
-        self.zero = Polynomial.zero(matrix.ring, matrix.vars)
-
-    def det(self, rsub, csub):
-        if len(rsub) != len(csub):
-            raise ValueError("submatrix not square")
-        if not rsub:
-            return Polynomial.const(self.matrix.ring, self.matrix.vars, 1)
-        if len(rsub) == 1:
-            return self.matrix.entries[rsub[0]][csub[0]]
-        key = (rsub, csub)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        r0 = rsub[0]
-        rest = rsub[1:]
-        total = self.zero
-        sign = 1
-        for idx, c in enumerate(csub):
-            a = self.matrix.entries[r0][c]
-            if not a.is_zero():
-                total = total + sign * a * self.det(rest, csub[:idx] + csub[idx + 1:])
-            sign = -sign
-        self.memo[key] = total
-        return total
-
-
-def det_laplace(matrix, memo=None):
-    memo = memo or _LaplaceMemo(matrix)
+def det_laplace(matrix):
     idx = tuple(range(matrix.n))
-    return memo.det(idx, idx)
+    return matrix.laplace.det(idx, idx)
 
 
-def det_symbolic(matrix, order=GREVLEX, engine="both"):
-    """Exact determinant; engine 'both' cross-checks Bareiss vs Laplace."""
-    if engine == "bareiss":
-        return det_bareiss(matrix, order)
-    if engine == "laplace":
-        return det_laplace(matrix)
-    if engine == "both":
-        b = det_bareiss(matrix, order)
-        l = det_laplace(matrix)
-        if b != l:
-            raise AssertionError("determinant engines disagree")
-        return b
-    raise ValueError("unknown engine %r" % (engine,))
+def det_symbolic(matrix, order=GREVLEX):
+    """Exact determinant, cross-checked between Bareiss and Laplace."""
+    b = det_bareiss(matrix, order)
+    if b != det_laplace(matrix):
+        raise AssertionError("determinant engines disagree")
+    return b
 
 
-def minors(matrix, i, order=GREVLEX, allow_large=False, dedup=True):
-    """All i x i minors; deduplicated up to sign by default."""
+def minors(matrix, i, order=GREVLEX, allow_large=False):
+    """All nonzero i x i minors, deduplicated up to sign and sorted."""
     n = matrix.n
     if not (1 <= i <= n):
         raise ValueError("minor size out of range")
-    if not allow_large and (n > MAX_MINOR_N or i > MAX_MINOR_I):
+    if not allow_large and n > MAX_MINOR_N:
         raise ValueError("minor enumeration needs allow_large for n=%d, i=%d"
                          % (n, i))
-    memo = _LaplaceMemo(matrix)
-    out = []
     seen = set()
-    for rsub in combinations(range(n), i):
-        for csub in combinations(range(n), i):
-            d = memo.det(rsub, csub)
-            if d.is_zero():
-                continue
-            if dedup:
-                _, lc = d.leading(order)
-                canon = d if lc > 0 else -d
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                out.append(canon)
-            else:
-                out.append(d)
-    out.sort(key=lambda p: p.sort_key(order))
-    return out
+    for d in matrix.laplace.minors(i):
+        if not d.is_zero():
+            seen.add(d if d.leading(order)[1] > 0 else -d)
+    return sorted(seen, key=lambda p: p.sort_key(order))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +131,20 @@ class DistanceIdealResult:
         return self.ideal.groebner_basis()
 
 
+def _chain(g, indices, ring, order, allow_large):
+    """The distance ideals I_i of g for i in indices, all from one matrix
+    and its minor memo.  Minors are expanded over ZZ; Ideal converts them
+    to ``ring``."""
+    m = generalized_distance_matrix(g)
+    for i in indices:
+        ideal = Ideal(ring, m.vars, minors(m, i, order, allow_large), order)
+        yield DistanceIdealResult(g, i, ring, ideal, ideal.is_trivial())
+
+
 def distance_ideal(g, i, ring=ZZ, order=GREVLEX, allow_large=False):
     if not (1 <= i <= g.n):
         raise ValueError("ideal index out of range")
-    m = generalized_distance_matrix(g, ring)
-    gens = minors(m, i, order, allow_large=allow_large)
-    ideal = Ideal(ring, m.vars, gens, order)
-    return DistanceIdealResult(g, i, ring, ideal, ideal.is_trivial())
+    return next(_chain(g, [i], ring, order, allow_large))
 
 
 def trivial_count_phi(g, ring=ZZ, max_i=None):
@@ -197,11 +156,10 @@ def trivial_count_phi(g, ring=ZZ, max_i=None):
     """
     top = g.n if max_i is None else min(max_i, g.n)
     count = 0
-    for i in range(1, top + 1):
-        if distance_ideal(g, i, ring, allow_large=True).trivial:
-            count = i
-        else:
+    for res in _chain(g, range(1, top + 1), ring, GREVLEX, True):
+        if not res.trivial:
             break
+        count = res.index
     return count
 
 
@@ -263,23 +221,36 @@ def _integer_roots(p):
 # reporting
 
 def ideal_report(g, ring=ZZ, indices=None, allow_large=False):
-    """JSON-ready report of the distance ideals of a graph."""
+    """JSON-ready report of the distance ideals of a graph.
+
+    One pass up the chain computes each ideal once: up to the largest
+    requested index and at least to the first nontrivial ideal, which
+    fixes Φ.
+    """
     from .graph import emit_graph6
     indices = list(indices) if indices is not None else list(range(1, g.n + 1))
-    records = []
-    for i in indices:
-        res = distance_ideal(g, i, ring, allow_large=allow_large)
-        records.append({
-            "i": i,
-            "generators": [p.render() for p in res.ideal.gens],
-            "groebner_basis": res.basis.render(),
-            "trivial": res.trivial,
-        })
+    if not all(1 <= i <= g.n for i in indices):
+        raise ValueError("ideal index out of range")
+    top = max(indices, default=0)
+    chain = {}
+    phi = 0
+    for res in _chain(g, range(1, g.n + 1), ring, GREVLEX, allow_large):
+        chain[res.index] = res
+        if res.trivial and phi == res.index - 1:
+            phi = res.index
+        if phi < res.index and res.index >= top:
+            break
+    records = [{
+        "i": i,
+        "generators": [p.render() for p in chain[i].ideal.gens],
+        "groebner_basis": chain[i].basis.render(),
+        "trivial": chain[i].trivial,
+    } for i in indices]
     return {
         "schema": "v1",
         "kind": "ideals",
         "graph6": emit_graph6(g),
         "ring": "Z" if ring == ZZ else "Q",
         "ideals": records,
-        "phi": trivial_count_phi(g, ring),
+        "phi": phi,
     }

@@ -1,5 +1,7 @@
 """Smith normal form of integer matrices by elementary row/column
-operations, plus the distance and distance-Laplacian SNF of a graph.
+operations, the memoized minor expansion shared with the symbolic
+matrices of ``ideals``, and the distance and distance-Laplacian SNF of a
+graph.
 
 Pivots are chosen by minimal absolute value; when the pivot fails to
 divide the remaining block, a row addition re-exposes the obstruction
@@ -133,6 +135,50 @@ def smith_normal_form(matrix, with_transforms=False):
     )
 
 
+class LaplaceMemo:
+    """Memoized Laplace expansion of the square submatrices of one matrix.
+
+    Entries may be ints or Polynomials: only +, * and comparison with
+    ``zero`` are used.  The determinant of rows ``rsub`` and columns
+    ``csub`` expands along its first row into determinants one size
+    smaller, which the memo keeps, so the i-minors of a matrix reuse
+    every (i-1)-minor already computed.
+    """
+
+    def __init__(self, rows, zero=0, one=1):
+        self.rows = rows
+        self.zero = zero
+        self.one = one
+        self.memo = {}
+
+    def det(self, rsub, csub):
+        if len(rsub) <= 1:
+            return self.rows[rsub[0]][csub[0]] if rsub else self.one
+        key = (rsub, csub)
+        total = self.memo.get(key)
+        if total is None:
+            zero = self.zero
+            row = self.rows[rsub[0]]
+            rest = rsub[1:]
+            total = zero
+            sign = 1
+            for idx, c in enumerate(csub):
+                if row[c] != zero:
+                    sub = csub[:idx] + csub[idx + 1:]
+                    total = total + sign * row[c] * self.det(rest, sub)
+                sign = -sign
+            self.memo[key] = total
+        return total
+
+    def minors(self, i):
+        """Every i x i minor, rows then columns in lexicographic order."""
+        rows = len(self.rows)
+        cols = len(self.rows[0]) if rows else 0
+        for rsub in combinations(range(rows), i):
+            for csub in combinations(range(cols), i):
+                yield self.det(rsub, csub)
+
+
 def minors_gcd(matrix, i):
     """gcd of all i x i minors (nonnegative, 0 if all vanish).
 
@@ -143,31 +189,9 @@ def minors_gcd(matrix, i):
     cols = len(matrix[0]) if rows else 0
     if not (1 <= i <= min(rows, cols)):
         raise ValueError("minor size out of range")
-    memo = {}
-
-    def det(rsub, csub):
-        if len(rsub) == 1:
-            return matrix[rsub[0]][csub[0]]
-        key = (rsub, csub)
-        if key in memo:
-            return memo[key]
-        r0 = rsub[0]
-        rest = rsub[1:]
-        total = 0
-        sign = 1
-        for idx, c in enumerate(csub):
-            a = matrix[r0][c]
-            if a:
-                sub = csub[:idx] + csub[idx + 1:]
-                total += sign * a * det(rest, sub)
-            sign = -sign
-        memo[key] = total
-        return total
-
     g = 0
-    for rsub in combinations(range(rows), i):
-        for csub in combinations(range(cols), i):
-            g = gcd(g, abs(det(rsub, csub)))
+    for d in LaplaceMemo(matrix).minors(i):
+        g = gcd(g, d)
     return g
 
 

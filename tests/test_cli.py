@@ -131,3 +131,17 @@ def test_repeat_runs_identical(capsys):
     a = run(capsys, "ideals", "--family", "star:3", "--format", "json")
     b = run(capsys, "ideals", "--family", "star:3", "--format", "json")
     assert a == b
+
+
+def test_ideals_five_vertices_without_allow_large(capsys):
+    code, out, err = run(capsys, "ideals", "--graph6", "D?{")
+    assert code == 0, err
+    assert out.strip().splitlines()[-1].startswith("phi = ")
+
+
+def test_jobs_ignores_environment(monkeypatch, capsys):
+    from distideal.cli import build_parser
+    monkeypatch.setenv("DISTIDEAL_JOBS", "x")
+    assert build_parser().parse_args(["classify"]).jobs == 1
+    payload = run_json(capsys, "corpus", "--nmax", "2", "--format", "json")
+    assert payload["counts"] == {"1": 1, "2": 1}

@@ -104,9 +104,11 @@ def test_minors_range_guard():
     m = generalized_distance_matrix(family("cycle", 6))
     with pytest.raises(ValueError):
         minors(m, 0)
+    assert minors(m, 5)       # every i is allowed up to n = 8
+    big = generalized_distance_matrix(family("path", 9))
     with pytest.raises(ValueError):
-        minors(m, 5)          # i > 4 without override
-    assert minors(m, 5, allow_large=True)
+        minors(big, 1)        # n > 8 without override
+    assert minors(big, 1, allow_large=True)
 
 
 def test_claw_i2_golden():
@@ -291,3 +293,60 @@ def test_ideal_report_shape():
     assert rep["phi"] == 1
     assert [r["trivial"] for r in rep["ideals"]] == [True, False, False, False]
     assert rep["graph6"]
+
+
+# ---------------------------------------------------------------------------
+# one pass per chain, and the shared minor engine against its references
+
+def test_ideal_report_computes_each_index_once(monkeypatch):
+    import distideal.ideals as ideals_mod
+    asked = []
+    real = ideals_mod.minors
+
+    def counting(matrix, i, *args, **kwargs):
+        asked.append(i)
+        return real(matrix, i, *args, **kwargs)
+
+    monkeypatch.setattr(ideals_mod, "minors", counting)
+    for g in (family("cycle", 4), family("path", 5), family("star", 3)):
+        for indices in (None, [2], [g.n]):
+            asked.clear()
+            ideal_report(g, ZZ, indices)
+            assert asked and len(asked) == len(set(asked)), asked
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_ideal_report_matches_per_index_references(ring):
+    for g in enumerate_connected(5):
+        rep = ideal_report(g, ring)
+        assert rep["phi"] == trivial_count_phi(g, ring)
+        for rec in rep["ideals"]:
+            res = distance_ideal(g, rec["i"], ring)
+            assert rec["generators"] == [p.render() for p in res.ideal.gens]
+            assert rec["groebner_basis"] == res.basis.render()
+            assert rec["trivial"] == res.trivial
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("orders", [(1, 2, 3, 4),
+                                    pytest.param((5,), marks=pytest.mark.slow)])
+def test_single_index_report_keeps_full_chain_phi(ring, orders):
+    for g in enumerate_connected(max(orders)):
+        if g.n not in orders:
+            continue
+        rep = ideal_report(g, ring)
+        for k in range(1, g.n + 1):
+            single = ideal_report(g, ring, [k])
+            assert single["phi"] == rep["phi"]
+            assert single["ideals"] == [rep["ideals"][k - 1]]
+
+
+def test_rational_minors_are_integer_minors_converted():
+    from distideal.ideals import matrix_from_rows
+    for g in (family("cycle", 5), family("path", 5),
+              family("complete_bipartite", 2, 3)):
+        mz = generalized_distance_matrix(g)
+        mq = matrix_from_rows(QQ, mz.vars, [[e.to_ring(QQ) for e in row]
+                                            for row in mz.entries])
+        for i in range(1, g.n + 1):
+            assert minors(mq, i) == [p.to_ring(QQ) for p in minors(mz, i)]
