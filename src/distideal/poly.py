@@ -8,7 +8,8 @@ over QQ, so arithmetic never overflows or rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 
 ZZ = "ZZ"
 QQ = "QQ"
@@ -25,45 +26,41 @@ def make_vars(n, prefix="x"):
 # monomial helpers (exponent tuples)
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in q):
+    if not mono_divides(b, a):
         raise ValueError("monomial %r does not divide %r" % (b, a))
-    return q
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a, b):
     """True if a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 def monomial_key(mono, order=GREVLEX):
     """Sort key: larger key = larger monomial in the given order."""
     if order == GREVLEX:
-        return (sum(mono), tuple(-e for e in reversed(mono)))
+        return (sum(mono), tuple(map(neg, reversed(mono))))
     if order == LEX:
         return mono
     raise ValueError("unknown term order %r" % (order,))
 
 
-def compare(m1, m2, order=GREVLEX):
-    """Return -1, 0 or 1 comparing two exponent vectors."""
-    if len(m1) != len(m2):
-        raise ValueError("monomials over different registries")
-    k1 = monomial_key(m1, order)
-    k2 = monomial_key(m2, order)
-    return (k1 > k2) - (k1 < k2)
+def descending_key(order=GREVLEX):
+    """Key function under which the larger monomial sorts first: the
+    monomial_key with every entry negated, for the min-heaps below."""
+    if order == GREVLEX:
+        return lambda mono: (-sum(mono), mono[::-1])
+    if order == LEX:
+        return lambda mono: tuple(map(neg, mono))
+    raise ValueError("unknown term order %r" % (order,))
 
 
 def _coerce(ring, c):
@@ -81,23 +78,34 @@ def _coerce(ring, c):
 
 
 class Polynomial:
-    """Immutable exact polynomial: ring tag, variable registry, term dict."""
+    """Immutable exact polynomial: ring tag, variable registry, term dict.
 
-    __slots__ = ("ring", "vars", "terms", "_hash")
+    The public constructor coerces and validates its input; ``_make``
+    trusts it.  Either way ``terms`` holds no zero coefficient, and its
+    coefficients are ints over ZZ and Fractions over QQ.
+    """
+
+    __slots__ = ("ring", "vars", "terms", "_hash", "_lead")
 
     def __init__(self, ring, variables, terms):
-        self.ring = ring
-        self.vars = tuple(variables)
+        variables = tuple(variables)
         clean = {}
-        nv = len(self.vars)
         for mono, coeff in terms.items():
-            if len(mono) != nv:
+            if len(mono) != len(variables):
                 raise ValueError("exponent vector length mismatch")
             c = _coerce(ring, coeff)
             if c:
                 clean[tuple(mono)] = c
-        self.terms = clean
-        self._hash = None
+        self.ring, self.vars, self.terms = ring, variables, clean
+        self._hash = self._lead = None
+
+    @classmethod
+    def _make(cls, ring, variables, terms):
+        """Wrap a term dict that is already ring-typed and zero-free."""
+        p = object.__new__(cls)
+        p.ring, p.vars, p.terms = ring, variables, terms
+        p._hash = p._lead = None
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -126,7 +134,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(mono_degree(m) == 0 for m in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self):
         z = (0,) * len(self.vars)
@@ -140,19 +148,17 @@ class Polynomial:
             return True
         return c in (1, -1)
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
     # -- term access --------------------------------------------------------
 
     def leading(self, order=GREVLEX):
-        """(monomial, coefficient) of the leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=lambda mono: monomial_key(mono, order))
-        return m, self.terms[m]
+        """(monomial, coefficient) of the leading term, cached per order."""
+        lead = self._lead
+        if lead is None or lead[0] != order:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            m = min(self.terms, key=descending_key(order))
+            lead = self._lead = (order, (m, self.terms[m]))
+        return lead[1]
 
     def sorted_terms(self, order=GREVLEX):
         return sorted(self.terms.items(),
@@ -177,14 +183,18 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(self.ring, self.vars, terms)
+            c += terms.get(m, 0)
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+        return Polynomial._make(self.ring, self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, self.vars,
-                          {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.ring, self.vars,
+                                {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -196,16 +206,16 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(self.ring, other)
-            return Polynomial(self.ring, self.vars,
-                              {m: v * c for m, v in self.terms.items()})
+            return self.term_mul((0,) * len(self.vars), other)
         self._check(other)
         terms = {}
+        get = terms.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Polynomial(self.ring, self.vars, terms)
+                m = tuple(map(add, m1, m2))
+                terms[m] = get(m, 0) + c1 * c2
+        return Polynomial._make(self.ring, self.vars,
+                                {m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -224,9 +234,11 @@ class Polynomial:
     def term_mul(self, mono, coeff):
         """Multiply by a single term coeff * x^mono."""
         c = _coerce(self.ring, coeff)
-        return Polynomial(self.ring, self.vars,
-                          {mono_mul(m, mono): v * c
-                           for m, v in self.terms.items()})
+        if not c:
+            return Polynomial._make(self.ring, self.vars, {})
+        return Polynomial._make(self.ring, self.vars,
+                                {tuple(map(add, m, mono)): v * c
+                                 for m, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -263,58 +275,10 @@ class Polynomial:
             terms[m] = terms.get(m, 0) + c
         return Polynomial(self.ring, self.vars, terms)
 
-    def compose(self, target_vars, mapping):
-        """Full substitution into a (possibly different) registry.
-
-        mapping sends variable names to Polynomials over target_vars;
-        unmapped names must themselves be present in target_vars.
-        """
-        target_vars = tuple(target_vars)
-        images = []
-        for name in self.vars:
-            if name in mapping:
-                img = mapping[name]
-                if img.vars != target_vars or img.ring != self.ring:
-                    raise ValueError("image polynomial over wrong ring/registry")
-            else:
-                img = Polynomial.variable(self.ring, target_vars, name)
-            images.append(img)
-        result = Polynomial.zero(self.ring, target_vars)
-        for mono, coeff in self.terms.items():
-            term = Polynomial.const(self.ring, target_vars, coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * images[i] ** e
-            result = result + term
-        return result
-
     def to_ring(self, ring):
         if ring == self.ring:
             return self
         return Polynomial(ring, self.vars, dict(self.terms))
-
-    # -- normalization ------------------------------------------------------
-
-    def content_and_normalize(self, order=GREVLEX):
-        """(content, primitive/monic part).
-
-        Over ZZ the content is +-gcd of the coefficients, signed so the
-        returned polynomial has positive leading coefficient.  Over QQ the
-        content is the leading coefficient and the result is monic.
-        """
-        if self.is_zero():
-            raise ValueError("zero polynomial has no content")
-        _, lc = self.leading(order)
-        if self.ring == QQ:
-            content = lc
-        else:
-            g = 0
-            for c in self.terms.values():
-                g = gcd(g, abs(c))
-            content = g if lc > 0 else -g
-        inv = Fraction(1, 1) / Fraction(content)
-        terms = {m: c * inv for m, c in self.terms.items()}
-        return content, Polynomial(self.ring, self.vars, terms)
 
     # -- rendering ----------------------------------------------------------
 
@@ -346,16 +310,40 @@ class Polynomial:
         return "Polynomial(%s, %s)" % (self.ring, self.render())
 
 
+def subtract_term_multiple(terms, heap, key, q, shift, items):
+    """terms -= q * x^shift * (the polynomial with term ``items``), in
+    place.  The heap holds (key(m), m) for every m in terms, and stale
+    entries that callers skip; new monomials are pushed on it."""
+    for tm, tc in items:
+        t = tuple(map(add, tm, shift))
+        v = terms.get(t)
+        if v is None:
+            terms[t] = -q * tc
+            heappush(heap, (key(t), t))
+        else:
+            v -= q * tc
+            if v:
+                terms[t] = v
+            else:
+                del terms[t]
+
+
 def exact_div(f, g, order=GREVLEX):
     """Exact quotient f / g in the polynomial domain; raises if inexact."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     f._check(g)
     gm, gc = g.leading(order)
-    q = Polynomial.zero(f.ring, f.vars)
-    r = f
-    while not r.is_zero():
-        rm, rc = r.leading(order)
+    key = descending_key(order)
+    r = dict(f.terms)
+    heap = [(key(m), m) for m in r]
+    heapify(heap)
+    q = {}
+    while heap:
+        rm = heappop(heap)[1]
+        rc = r.get(rm)
+        if rc is None:
+            continue
         m = mono_div(rm, gm)
         if f.ring == ZZ:
             if rc % gc:
@@ -363,6 +351,6 @@ def exact_div(f, g, order=GREVLEX):
             c = rc // gc
         else:
             c = rc / gc
-        q = q + Polynomial(f.ring, f.vars, {m: c})
-        r = r - g.term_mul(m, c)
-    return q
+        q[m] = c
+        subtract_term_multiple(r, heap, key, c, m, g.terms.items())
+    return Polynomial._make(f.ring, f.vars, q)

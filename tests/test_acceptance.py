@@ -24,6 +24,7 @@ from distideal.poly import QQ, ZZ, Polynomial
 from distideal.snf import (distance_laplacian_matrix, distance_laplacian_snf,
                            distance_snf, minors_gcd, phi_unit_count,
                            smith_normal_form)
+from poly_helpers import compose
 
 CLAW = build_graph(4, [(0, 1), (0, 2), (0, 3)])
 C4 = family("cycle", 4)
@@ -196,9 +197,9 @@ def test_criterion_08_monotonicity_suites():
         corpus = [g for g in enumerate_connected(5) if g.n >= 2]
 
         def embed(p, big_vars, mapping):
-            return p.compose(big_vars,
-                             {sv: Polynomial.variable(p.ring, big_vars, bv)
-                              for sv, bv in mapping.items()})
+            return compose(p, big_vars,
+                           {sv: Polynomial.variable(p.ring, big_vars, bv)
+                            for sv, bv in mapping.items()})
 
         for g in corpus:
             # chain I_{i+1} subseteq I_i

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from distideal.poly import (GREVLEX, LEX, QQ, ZZ, Polynomial, compare,
-                            exact_div, make_vars)
+from distideal.poly import (GREVLEX, LEX, QQ, ZZ, Polynomial, exact_div,
+                            make_vars, monomial_key)
+from poly_helpers import compose
 
 V = make_vars(3)
 
@@ -19,20 +20,23 @@ def const(c, ring=ZZ):
 
 def test_compare_grevlex():
     # x0^2 vs x0*x1: degree tie, rightmost differing exponent decides
-    assert compare((2, 0, 0), (1, 1, 0), GREVLEX) == 1
-    assert compare((1, 1, 0), (2, 0, 0), GREVLEX) == -1
-    assert compare((1, 1, 0), (1, 1, 0), GREVLEX) == 0
-    assert compare((0, 0, 3), (1, 0, 0), GREVLEX) == 1  # degree dominates
+    assert monomial_key((2, 0, 0), GREVLEX) > monomial_key((1, 1, 0), GREVLEX)
+    assert monomial_key((1, 1, 0), GREVLEX) < monomial_key((2, 0, 0), GREVLEX)
+    assert monomial_key((1, 1, 0), GREVLEX) == monomial_key((1, 1, 0), GREVLEX)
+    # degree dominates
+    assert monomial_key((0, 0, 3), GREVLEX) > monomial_key((1, 0, 0), GREVLEX)
 
 
 def test_compare_lex():
-    assert compare((1, 0, 0), (0, 10, 0), LEX) == 1
-    assert compare((0, 1, 0), (0, 0, 10), LEX) == 1
+    assert monomial_key((1, 0, 0), LEX) > monomial_key((0, 10, 0), LEX)
+    assert monomial_key((0, 1, 0), LEX) > monomial_key((0, 0, 10), LEX)
 
 
 def test_registry_mismatch():
     with pytest.raises(ValueError):
-        compare((1, 0), (1, 0, 0))
+        Polynomial(ZZ, V, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        x(0) + Polynomial.variable(ZZ, make_vars(2), "x0")
 
 
 def test_expand_product():
@@ -68,31 +72,8 @@ def test_compose_fresh_variable():
     f = x(0) * x(1) * x(2) - x(0) - x(1) - x(2) + 2
     lam_vars = ("lam",)
     lam = Polynomial.variable(ZZ, lam_vars, "lam")
-    g = f.compose(lam_vars, {"x0": -lam, "x1": -lam, "x2": -lam})
+    g = compose(f, lam_vars, {"x0": -lam, "x1": -lam, "x2": -lam})
     assert g == -(lam ** 3) + 3 * lam + 2
-
-
-def test_content_zz():
-    c, p = (2 * x(0) + 4).content_and_normalize()
-    assert c == 2 and p == x(0) + 2
-
-
-def test_content_sign():
-    c, p = (-3 * x(0)).content_and_normalize()
-    assert c == -3 and p == x(0)
-    assert p.leading()[1] > 0
-
-
-def test_content_qq():
-    f = Fraction(1, 2) * x(0, QQ) + Polynomial.const(QQ, V, 1)
-    c, p = f.content_and_normalize()
-    assert c == Fraction(1, 2)
-    assert p == x(0, QQ) + 2
-
-
-def test_content_zero_rejected():
-    with pytest.raises(ValueError):
-        Polynomial.zero(ZZ, V).content_and_normalize()
 
 
 def test_exact_div():
@@ -108,6 +89,66 @@ def _random_poly(rng, ring=ZZ):
         mono = tuple(rng.randint(0, 2) for _ in V)
         terms[mono] = terms.get(mono, 0) + rng.randint(-4, 4)
     return Polynomial(ring, V, terms)
+
+
+def _check_representation(p, ring):
+    """No zero coefficient, ring-typed coefficients, and a cached leading
+    term equal to a fresh max under each order (asked twice, so the
+    second answer comes from the cache); the zero polynomial has none."""
+    assert p.ring == ring
+    kind = int if ring == ZZ else Fraction
+    assert all(c != 0 and type(c) is kind for c in p.terms.values())
+    for order in (GREVLEX, LEX, GREVLEX):
+        if not p.terms:
+            with pytest.raises(ValueError):
+                p.leading(order)
+            continue
+        m = max(p.terms, key=lambda mono: monomial_key(mono, order))
+        assert p.leading(order) == (m, p.terms[m])
+        assert p.leading(order) == (m, p.terms[m])
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_representation_invariants(ring):
+    rng = random.Random(17)
+    scalar = 3 if ring == ZZ else Fraction(-2, 3)
+    for _ in range(80):
+        f, g = _random_poly(rng, ring), _random_poly(rng, ring)
+        mono = tuple(rng.randint(0, 2) for _ in V)
+        point = {v: rng.randint(-2, 2) for v in V[:rng.randint(0, 3)]}
+        results = [Polynomial.zero(ring, V), f + g, f - g, f + (-f), -f,
+                   f + 1, 1 - f, f * g, f * scalar, scalar * f, f * 0,
+                   f ** 0, f ** 3, f.term_mul(mono, scalar),
+                   f.term_mul(mono, 0),
+                   f.substitute(point), f.to_ring(ring)]
+        for p in results:
+            _check_representation(p, ring)
+        _check_representation(f.to_ring(ZZ), ZZ)
+        _check_representation(f.to_ring(QQ), QQ)
+
+
+def test_public_constructor_coerces():
+    p = Polynomial(ZZ, V, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): 0})
+    assert p.terms == {(1, 0, 0): 2} and type(p.terms[(1, 0, 0)]) is int
+    q = Polynomial(QQ, V, {(1, 0, 0): 2, (0, 0, 0): Fraction(0)})
+    assert q.terms == {(1, 0, 0): Fraction(2)}
+    assert type(q.terms[(1, 0, 0)]) is Fraction
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_exact_div_random(ring, order):
+    rng = random.Random(19)
+    for _ in range(60):
+        f, g = _random_poly(rng, ring), _random_poly(rng, ring)
+        if g.is_zero():
+            continue
+        q = exact_div(f * g, g, order)
+        assert q == f
+        _check_representation(q, ring)
+        if not f.is_zero() and not g.is_constant():
+            with pytest.raises(ValueError):
+                exact_div(f * g + 1, g, order)
 
 
 def test_ring_axioms_random():
