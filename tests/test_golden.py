@@ -1,11 +1,19 @@
-"""Byte-level regression test of `distideal ideals --format json`.
+"""Byte-level regression tests of the CLI's JSON output.
 
-tests/data/ideals_golden.json holds the sha256 of the stdout for every
-connected graph on at most 4 vertices plus P5, C5, K_{1,4} and K_{2,3},
-over both rings.  The digests were written by the code before the minor
-engine was unified; any change to generators, bases, triviality flags,
-Φ or their rendering shows up here.  Regenerate (only for an intended
-output change) with
+tests/data/ideals_golden.json holds the sha256 of the stdout of
+`distideal ideals --format json` for every connected graph on at most 4
+vertices plus P5, C5, K_{1,4} and K_{2,3}, over both rings.  The digests
+were written by the code before the minor engine was unified; any change
+to generators, bases, triviality flags, Φ or their rendering shows up
+here.
+
+tests/data/charpoly_matrix_golden.json holds the sha256 of the stdout of
+`distideal charpoly --format json` and `distideal matrix --format json`
+for every connected graph on at most 5 vertices.  They pin the Bareiss
+determinant, exact division and polynomial rendering; the digests were
+written by the code before grevlex became the only term order.
+
+Regenerate (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -20,8 +28,9 @@ import sys
 from distideal.cli import main
 from distideal.graph import emit_graph6, enumerate_connected, family
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
-                           "ideals_golden.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_PATH = os.path.join(DATA, "ideals_golden.json")
+CHARPOLY_MATRIX_PATH = os.path.join(DATA, "charpoly_matrix_golden.json")
 
 
 def golden_graphs():
@@ -31,18 +40,24 @@ def golden_graphs():
     return [emit_graph6(g) for g in graphs]
 
 
-def ideals_digest(g6, ring):
+def cli_digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(["ideals", "--graph6", g6, "--ring", ring,
-                     "--format", "json", "--allow-large"])
-    assert code == 0, (g6, ring)
+        code = main(argv + ["--format", "json"])
+    assert code == 0, argv
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 def compute_digests():
-    return {"%s %s" % (g6, ring): ideals_digest(g6, ring)
+    return {"%s %s" % (g6, ring): cli_digest(["ideals", "--graph6", g6,
+                                              "--ring", ring, "--allow-large"])
             for g6 in golden_graphs() for ring in ("Z", "Q")}
+
+
+def compute_charpoly_matrix_digests():
+    return {"%s %s" % (cmd, emit_graph6(g)):
+            cli_digest([cmd, "--graph6", emit_graph6(g)])
+            for g in enumerate_connected(5) for cmd in ("charpoly", "matrix")}
 
 
 def test_ideals_json_matches_golden_digests():
@@ -51,7 +66,17 @@ def test_ideals_json_matches_golden_digests():
     assert compute_digests() == golden
 
 
+def test_charpoly_and_matrix_json_match_golden_digests():
+    with open(CHARPOLY_MATRIX_PATH) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 2 * 31
+    assert compute_charpoly_matrix_digests() == golden
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(compute_digests(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, digests in ((GOLDEN_PATH, compute_digests()),
+                          (CHARPOLY_MATRIX_PATH,
+                           compute_charpoly_matrix_digests())):
+        with open(path, "w") as fh:
+            json.dump(digests, fh, indent=1, sort_keys=True)
+            fh.write("\n")
