@@ -3,8 +3,8 @@
 from .graph import (Graph, build_graph, family, parse_graph6, emit_graph6,
                     all_pairs_distances, is_connected, contains_induced,
                     enumerate_connected, transmissions, PATTERNS)
-from .poly import Polynomial, ZZ, QQ, GREVLEX, LEX
-from .groebner import Ideal, GroebnerBasis, ideals_equal
+from .poly import Polynomial, ZZ, QQ
+from .groebner import Ideal, ideals_equal
 from .ideals import (generalized_distance_matrix, det_symbolic, minors,
                      distance_ideal, trivial_count_phi, evaluate_ideal,
                      char_poly_distance)

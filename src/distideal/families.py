@@ -31,7 +31,8 @@ def _gens_ring(variables):
 
 
 def _subset_products(factors, size, one):
-    """Products over all `size`-subsets, in lexicographic subset order."""
+    """Products over all `size`-subsets, in lexicographic subset order.
+    The (len - 1)-subsets give the products of all factors but one."""
     out = []
     for subset in combinations(range(len(factors)), size):
         p = one
@@ -52,17 +53,8 @@ def complete_ideal_gens(n, i):
     shifted = [x - 1 for x in xs]
     if i < n:
         return _subset_products(shifted, i - 1, one)
-    full = one
-    for f in shifted:
-        full = full * f
-    total = full
-    for k in range(n):
-        term = one
-        for j, f in enumerate(shifted):
-            if j != k:
-                term = term * f
-        total = total + term
-    return [total]
+    full, = _subset_products(shifted, n, one)
+    return [full + sum(_subset_products(shifted, n - 1, one))]
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +74,8 @@ def mdiag_det(n, m):
     variables = _vars_x(n)
     one, xs = _gens_ring(variables)
     shifted = [x - m for x in xs]
-    full = one
-    for f in shifted:
-        full = full * f
-    total = full
-    for i in range(n):
-        term = one
-        for j, f in enumerate(shifted):
-            if j != i:
-                term = term * f
-        total = total + m * term
-    return total
+    full, = _subset_products(shifted, n, one)
+    return full + m * sum(_subset_products(shifted, n - 1, one))
 
 
 def mdiag_ideal_gens(n, m, k):
@@ -103,18 +86,9 @@ def mdiag_ideal_gens(n, m, k):
     shifted = [x - m for x in xs]
     a_k = [m * p for p in _subset_products(shifted, k - 1, one)]
     b_k = []
-    for subset in combinations(range(n), k):
-        prod = one
-        for i in subset:
-            prod = prod * shifted[i]
-        sigma = Polynomial.zero(ZZ, variables)
-        for i in subset:
-            term = one
-            for j in subset:
-                if j != i:
-                    term = term * shifted[j]
-            sigma = sigma + term
-        b_k.append(prod + m * sigma)
+    for subset in combinations(shifted, k):
+        prod, = _subset_products(subset, k, one)
+        b_k.append(prod + m * sum(_subset_products(subset, k - 1, one)))
     return [p for p in a_k if not p.is_zero()] + b_k
 
 
@@ -147,16 +121,8 @@ def star_det(m):
     one, xs = _gens_ring(variables)
     y = xs[-1]
     shifted = [x - 2 for x in xs[:-1]]
-    full = one
-    for f in shifted:
-        full = full * f
-    sigma = Polynomial.zero(ZZ, variables)
-    for i in range(m):
-        term = one
-        for j, f in enumerate(shifted):
-            if j != i:
-                term = term * f
-        sigma = sigma + term
+    full, = _subset_products(shifted, m, one)
+    sigma = sum(_subset_products(shifted, m - 1, one))
     return y * full + (2 * y - 1) * sigma
 
 
@@ -168,10 +134,7 @@ def star_minor_det(m, i):
     variables = star_vars(m)
     one, xs = _gens_ring(variables)
     shifted = [x - 2 for x in xs[:-1]]
-    term = one
-    for j, f in enumerate(shifted):
-        if j != i - 1:
-            term = term * f
+    term, = _subset_products(shifted[:i - 1] + shifted[i:], m - 1, one)
     return term if (m - i) % 2 == 0 else -term
 
 

@@ -11,7 +11,7 @@ from functools import cached_property
 from . import snf
 from .graph import all_pairs_distances
 from .groebner import Ideal
-from .poly import GREVLEX, ZZ, Polynomial, exact_div, make_vars
+from .poly import ZZ, Polynomial, exact_div, make_vars
 
 # guard for the sum over i of C(n,i)^2 minors a chain expands
 MAX_MINOR_N = 8
@@ -59,7 +59,7 @@ def generalized_distance_matrix(g):
 # ---------------------------------------------------------------------------
 # determinants
 
-def det_bareiss(matrix, order=GREVLEX):
+def det_bareiss(matrix):
     """Fraction-free Bareiss elimination; divisions are exact."""
     n = matrix.n
     if n == 0:
@@ -81,7 +81,7 @@ def det_bareiss(matrix, order=GREVLEX):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = exact_div(num, prev, order)
+                M[i][j] = exact_div(num, prev)
             M[i][k] = zero
         prev = M[k][k]
     return M[n - 1][n - 1] * sign
@@ -92,15 +92,15 @@ def det_laplace(matrix):
     return matrix.laplace.det(idx, idx)
 
 
-def det_symbolic(matrix, order=GREVLEX):
+def det_symbolic(matrix):
     """Exact determinant, cross-checked between Bareiss and Laplace."""
-    b = det_bareiss(matrix, order)
+    b = det_bareiss(matrix)
     if b != det_laplace(matrix):
         raise AssertionError("determinant engines disagree")
     return b
 
 
-def minors(matrix, i, order=GREVLEX, allow_large=False):
+def minors(matrix, i, allow_large=False):
     """All nonzero i x i minors, deduplicated up to sign and sorted."""
     n = matrix.n
     if not (1 <= i <= n):
@@ -111,8 +111,8 @@ def minors(matrix, i, order=GREVLEX, allow_large=False):
     seen = set()
     for d in matrix.laplace.minors(i):
         if not d.is_zero():
-            seen.add(d if d.leading(order)[1] > 0 else -d)
-    return sorted(seen, key=lambda p: p.sort_key(order))
+            seen.add(d if d.leading()[1] > 0 else -d)
+    return sorted(seen, key=lambda p: p.sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +126,21 @@ class DistanceIdealResult:
     ideal: Ideal
     trivial: bool
 
-    @property
-    def basis(self):
-        return self.ideal.groebner_basis()
 
-
-def _chain(g, indices, ring, order, allow_large):
+def _chain(g, indices, ring, allow_large):
     """The distance ideals I_i of g for i in indices, all from one matrix
     and its minor memo.  Minors are expanded over ZZ; Ideal converts them
     to ``ring``."""
     m = generalized_distance_matrix(g)
     for i in indices:
-        ideal = Ideal(ring, m.vars, minors(m, i, order, allow_large), order)
+        ideal = Ideal(ring, m.vars, minors(m, i, allow_large=allow_large))
         yield DistanceIdealResult(g, i, ring, ideal, ideal.is_trivial())
 
 
-def distance_ideal(g, i, ring=ZZ, order=GREVLEX, allow_large=False):
+def distance_ideal(g, i, ring=ZZ, allow_large=False):
     if not (1 <= i <= g.n):
         raise ValueError("ideal index out of range")
-    return next(_chain(g, [i], ring, order, allow_large))
+    return next(_chain(g, [i], ring, allow_large))
 
 
 def trivial_count_phi(g, ring=ZZ, max_i=None):
@@ -156,7 +152,7 @@ def trivial_count_phi(g, ring=ZZ, max_i=None):
     """
     top = g.n if max_i is None else min(max_i, g.n)
     count = 0
-    for res in _chain(g, range(1, top + 1), ring, GREVLEX, True):
+    for res in _chain(g, range(1, top + 1), ring, True):
         if not res.trivial:
             break
         count = res.index
@@ -234,7 +230,7 @@ def ideal_report(g, ring=ZZ, indices=None, allow_large=False):
     top = max(indices, default=0)
     chain = {}
     phi = 0
-    for res in _chain(g, range(1, g.n + 1), ring, GREVLEX, allow_large):
+    for res in _chain(g, range(1, g.n + 1), ring, allow_large):
         chain[res.index] = res
         if res.trivial and phi == res.index - 1:
             phi = res.index
@@ -243,7 +239,7 @@ def ideal_report(g, ring=ZZ, indices=None, allow_large=False):
     records = [{
         "i": i,
         "generators": [p.render() for p in chain[i].ideal.gens],
-        "groebner_basis": chain[i].basis.render(),
+        "groebner_basis": [p.render() for p in chain[i].ideal.basis],
         "trivial": chain[i].trivial,
     } for i in indices]
     return {

@@ -1,8 +1,10 @@
-"""Exact multivariate polynomials over ZZ and QQ with explicit term orders.
+"""Exact multivariate polynomials over ZZ and QQ.
 
 Monomials are dense exponent tuples indexed by a fixed variable registry
 (a tuple of names).  Coefficients are Python ints over ZZ and Fractions
-over QQ, so arithmetic never overflows or rounds.
+over QQ, so arithmetic never overflows or rounds.  Terms are ordered by
+graded reverse lexicographic order (grevlex), the only term order: the
+triviality of an ideal does not depend on it.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from operator import add, le, neg, sub
 
 ZZ = "ZZ"
 QQ = "QQ"
-
-GREVLEX = "grevlex"
-LEX = "lex"
 
 
 def make_vars(n, prefix="x"):
@@ -44,23 +43,15 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_key(mono, order=GREVLEX):
-    """Sort key: larger key = larger monomial in the given order."""
-    if order == GREVLEX:
-        return (sum(mono), tuple(map(neg, reversed(mono))))
-    if order == LEX:
-        return mono
-    raise ValueError("unknown term order %r" % (order,))
+def monomial_key(mono):
+    """Sort key: larger key = larger monomial in grevlex."""
+    return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
-def descending_key(order=GREVLEX):
-    """Key function under which the larger monomial sorts first: the
+def descending_key(mono):
+    """Sort key under which the larger monomial comes first: the
     monomial_key with every entry negated, for the min-heaps below."""
-    if order == GREVLEX:
-        return lambda mono: (-sum(mono), mono[::-1])
-    if order == LEX:
-        return lambda mono: tuple(map(neg, mono))
-    raise ValueError("unknown term order %r" % (order,))
+    return (-sum(mono), mono[::-1])
 
 
 def _coerce(ring, c):
@@ -150,24 +141,24 @@ class Polynomial:
 
     # -- term access --------------------------------------------------------
 
-    def leading(self, order=GREVLEX):
-        """(monomial, coefficient) of the leading term, cached per order."""
+    def leading(self):
+        """(monomial, coefficient) of the leading term, cached."""
         lead = self._lead
-        if lead is None or lead[0] != order:
+        if lead is None:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
-            m = min(self.terms, key=descending_key(order))
-            lead = self._lead = (order, (m, self.terms[m]))
-        return lead[1]
+            m = min(self.terms, key=descending_key)
+            lead = self._lead = (m, self.terms[m])
+        return lead
 
-    def sorted_terms(self, order=GREVLEX):
-        return sorted(self.terms.items(),
-                      key=lambda t: monomial_key(t[0], order), reverse=True)
+    def sorted_terms(self):
+        """(monomial, coefficient) pairs, leading term first."""
+        return sorted(self.terms.items(), key=lambda t: descending_key(t[0]))
 
-    def sort_key(self, order=GREVLEX):
-        """Deterministic total-order key on polynomials (for stable output)."""
-        return tuple((monomial_key(m, order), Fraction(c))
-                     for m, c in self.sorted_terms(order))
+    def sort_key(self):
+        """Deterministic total-order key on the polynomials of one ring
+        (for stable output)."""
+        return tuple((monomial_key(m), c) for m, c in self.sorted_terms())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -282,11 +273,11 @@ class Polynomial:
 
     # -- rendering ----------------------------------------------------------
 
-    def render(self, order=GREVLEX):
+    def render(self):
         if not self.terms:
             return "0"
         parts = []
-        for i, (mono, coeff) in enumerate(self.sorted_terms(order)):
+        for i, (mono, coeff) in enumerate(self.sorted_terms()):
             factors = []
             for name, e in zip(self.vars, mono):
                 if e == 1:
@@ -310,16 +301,16 @@ class Polynomial:
         return "Polynomial(%s, %s)" % (self.ring, self.render())
 
 
-def subtract_term_multiple(terms, heap, key, q, shift, items):
+def subtract_term_multiple(terms, heap, q, shift, items):
     """terms -= q * x^shift * (the polynomial with term ``items``), in
-    place.  The heap holds (key(m), m) for every m in terms, and stale
-    entries that callers skip; new monomials are pushed on it."""
+    place.  The heap holds (descending_key(m), m) for every m in terms,
+    and stale entries that callers skip; new monomials are pushed on it."""
     for tm, tc in items:
         t = tuple(map(add, tm, shift))
         v = terms.get(t)
         if v is None:
             terms[t] = -q * tc
-            heappush(heap, (key(t), t))
+            heappush(heap, (descending_key(t), t))
         else:
             v -= q * tc
             if v:
@@ -328,15 +319,14 @@ def subtract_term_multiple(terms, heap, key, q, shift, items):
                 del terms[t]
 
 
-def exact_div(f, g, order=GREVLEX):
+def exact_div(f, g):
     """Exact quotient f / g in the polynomial domain; raises if inexact."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     f._check(g)
-    gm, gc = g.leading(order)
-    key = descending_key(order)
+    gm, gc = g.leading()
     r = dict(f.terms)
-    heap = [(key(m), m) for m in r]
+    heap = [(descending_key(m), m) for m in r]
     heapify(heap)
     q = {}
     while heap:
@@ -352,5 +342,5 @@ def exact_div(f, g, order=GREVLEX):
         else:
             c = rc / gc
         q[m] = c
-        subtract_term_multiple(r, heap, key, c, m, g.terms.items())
+        subtract_term_multiple(r, heap, c, m, g.terms.items())
     return Polynomial._make(f.ring, f.vars, q)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-from distideal.poly import (GREVLEX, QQ, ZZ, Polynomial, mono_div,
+from distideal.poly import (QQ, ZZ, Polynomial, mono_div,
                             mono_divides, mono_lcm, mono_mul, monomial_key)
 
 
@@ -30,8 +30,8 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def _sign_normalize(p, order):
-    _, lc = p.leading(order)
+def _sign_normalize(p):
+    _, lc = p.leading()
     if (p.ring == ZZ and lc < 0):
         return -p
     if p.ring == QQ:
@@ -39,17 +39,17 @@ def _sign_normalize(p, order):
     return p
 
 
-def reduce_poly(f, basis, order=GREVLEX):
+def reduce_poly(f, basis):
     """Normal form of f against a list of nonzero polynomials."""
     if f.is_zero():
         return f
     ring = f.ring
-    lts = [(g.leading(order)[0], g.leading(order)[1], g) for g in basis
+    lts = [(g.leading()[0], g.leading()[1], g) for g in basis
            if not g.is_zero()]
     remainder = {}
     h = f
     while not h.is_zero():
-        m, c = h.leading(order)
+        m, c = h.leading()
         reduced = False
         for gm, gc, g in lts:
             if not mono_divides(gm, m):
@@ -69,11 +69,11 @@ def reduce_poly(f, basis, order=GREVLEX):
     return Polynomial(ring, f.vars, remainder)
 
 
-def s_polynomial(f, g, order=GREVLEX):
+def s_polynomial(f, g):
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of zero polynomial")
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+    fm, fc = f.leading()
+    gm, gc = g.leading()
     L = mono_lcm(fm, gm)
     if f.ring == QQ:
         return (f.term_mul(mono_div(L, fm), 1 / fc)
@@ -83,14 +83,14 @@ def s_polynomial(f, g, order=GREVLEX):
             - g.term_mul(mono_div(L, gm), l // gc))
 
 
-def gcd_polynomial(f, g, order=GREVLEX):
+def gcd_polynomial(f, g):
     """Bezout combination with leading term gcd(lc f, lc g) * lcm(lm f, lm g)."""
     if f.ring != ZZ:
         raise ValueError("gcd-polynomials only apply over ZZ")
     if f.is_zero() or g.is_zero():
         raise ValueError("gcd-polynomial of zero polynomial")
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+    fm, fc = f.leading()
+    gm, gc = g.leading()
     L = mono_lcm(fm, gm)
     _, s, t = _ext_gcd(fc, gc)
     return (f.term_mul(mono_div(L, fm), s)
@@ -101,19 +101,19 @@ def _unit_basis(ring, variables):
     return [Polynomial.const(ring, variables, 1)]
 
 
-def _minimize_and_interreduce(polys, ring, order):
+def _minimize_and_interreduce(polys, ring):
     if not polys:
         return []
-    polys = sorted({_sign_normalize(p, order) for p in polys},
-                   key=lambda p: (monomial_key(p.leading(order)[0], order),
-                                  abs(p.leading(order)[1]),
-                                  p.sort_key(order)))
+    polys = sorted({_sign_normalize(p) for p in polys},
+                   key=lambda p: (monomial_key(p.leading()[0]),
+                                  abs(p.leading()[1]),
+                                  p.sort_key()))
     kept = []
     for p in polys:
-        pm, pc = p.leading(order)
+        pm, pc = p.leading()
         redundant = False
         for q in kept:
-            qm, qc = q.leading(order)
+            qm, qc = q.leading()
             if mono_divides(qm, pm) and (ring == QQ or pc % qc == 0):
                 redundant = True
                 break
@@ -124,20 +124,20 @@ def _minimize_and_interreduce(polys, ring, order):
     while changed:
         changed = False
         for i, p in enumerate(kept):
-            pm, pc = p.leading(order)
+            pm, pc = p.leading()
             lt = Polynomial(ring, p.vars, {pm: pc})
             others = kept[:i] + kept[i + 1:]
-            tail = reduce_poly(p - lt, others, order)
-            new = _sign_normalize(lt + tail, order)
+            tail = reduce_poly(p - lt, others)
+            new = _sign_normalize(lt + tail)
             if new != p:
                 kept[i] = new
                 changed = True
-    kept.sort(key=lambda p: (monomial_key(p.leading(order)[0], order),
-                             p.sort_key(order)))
+    kept.sort(key=lambda p: (monomial_key(p.leading()[0]),
+                             p.sort_key()))
     return kept
 
 
-def buchberger(gens, ring, variables, order=GREVLEX):
+def buchberger(gens, ring, variables):
     """Complete a generator list to a (strong, over ZZ) Groebner basis."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -145,8 +145,8 @@ def buchberger(gens, ring, variables, order=GREVLEX):
     for g in gens:
         if g.is_unit_constant():
             return _unit_basis(ring, variables)
-    start = sorted({_sign_normalize(g, order) for g in gens},
-                   key=lambda p: p.sort_key(order))
+    start = sorted({_sign_normalize(g) for g in gens},
+                   key=lambda p: p.sort_key())
 
     G = []
     lts = []
@@ -159,7 +159,7 @@ def buchberger(gens, ring, variables, order=GREVLEX):
         for j in range(idx):
             hm, hc = lts[j]
             L = mono_lcm(gm, hm)
-            key = (sum(L), monomial_key(L, order))
+            key = (sum(L), monomial_key(L))
             if ring == QQ:
                 if L == mono_mul(gm, hm):
                     continue  # coprime leading monomials
@@ -174,28 +174,28 @@ def buchberger(gens, ring, variables, order=GREVLEX):
 
     def add(p):
         G.append(p)
-        lts.append(p.leading(order))
+        lts.append(p.leading())
         push_pairs(len(G) - 1)
 
     for g in start:
-        h = reduce_poly(g, G, order)
+        h = reduce_poly(g, G)
         if h.is_zero():
             continue
         if h.is_unit_constant():
             return _unit_basis(ring, variables)
-        add(_sign_normalize(h, order))
+        add(_sign_normalize(h))
 
     while queue:
         _, _, i, j, kind = heapq.heappop(queue)
         if kind == "s":
-            p = s_polynomial(G[i], G[j], order)
+            p = s_polynomial(G[i], G[j])
         else:
-            p = gcd_polynomial(G[i], G[j], order)
-        h = reduce_poly(p, G, order)
+            p = gcd_polynomial(G[i], G[j])
+        h = reduce_poly(p, G)
         if h.is_zero():
             continue
         if h.is_unit_constant():
             return _unit_basis(ring, variables)
-        add(_sign_normalize(h, order))
+        add(_sign_normalize(h))
 
-    return _minimize_and_interreduce(G, ring, order)
+    return _minimize_and_interreduce(G, ring)

@@ -1,6 +1,6 @@
 import pytest
 
-from distideal.groebner import (GroebnerBasis, Ideal, buchberger,
+from distideal.groebner import (Ideal, buchberger,
                                 gcd_polynomial, ideals_equal, reduce_poly,
                                 s_polynomial)
 from distideal.poly import QQ, ZZ, Polynomial, make_vars
@@ -24,6 +24,17 @@ def test_reduce_zz_euclidean():
     # 3x against 2x: subtract one copy, the unit remainder stops
     r = reduce_poly(3 * x(), [2 * x()])
     assert r == x()
+
+
+def test_reduce_zz_negative_leading_divisor():
+    # floor division by the lc -4 used to cycle the leading coefficient
+    # between the divisors forever
+    v3 = make_vars(3)
+    x0, x1, x2 = (Polynomial.variable(ZZ, v3, v) for v in v3)
+    f = 3 * x0 ** 3 * x1 ** 2 * x2 ** 2
+    basis = [-4 * x0 * x1 ** 2 * x2 ** 2, 2 * x2, 4 * x0 * x1 ** 2]
+    assert reduce_poly(f, basis).render() == "x0^3*x1^2*x2^2"
+    assert reduce_poly(f, basis) == reduce_poly(f, [-basis[0]] + basis[1:])
 
 
 def test_reduce_qq_field_division():
@@ -71,8 +82,7 @@ def test_groebner_gcd_collapse():
 
 def test_groebner_two_and_x():
     ideal = Ideal(ZZ, V, [Polynomial.const(ZZ, V, 2), x()])
-    basis = ideal.groebner_basis()
-    assert sorted(basis.render()) == ["2", "x0"]
+    assert [p.render() for p in ideal.basis] == ["2", "x0"]
     # 1 is not reachable: the quotient is Z/2
     assert not ideal.contains(Polynomial.const(ZZ, V, 1))
     assert not ideal.is_trivial()
@@ -110,21 +120,18 @@ def test_ideals_equal_orientation():
 
 def test_basis_self_verify():
     gens = [x() * y() - 1, x() ** 2 - y(), 2 * y() ** 2 - 3]
-    ideal = Ideal(ZZ, V, gens)
-    basis = ideal.groebner_basis()
-    assert basis.verify(gens)
+    assert Ideal(ZZ, V, gens).verify()
 
 
 def test_basis_self_verify_qq():
     gens = [x(QQ) * y(QQ) - 1, x(QQ) ** 2 - y(QQ)]
-    ideal = Ideal(QQ, V, gens)
-    assert ideal.groebner_basis().verify(gens)
+    assert Ideal(QQ, V, gens).verify()
 
 
 def test_determinism():
     gens = [2 * x() * y() - 4, 3 * x() - y(), y() ** 2 - 2]
-    r1 = GroebnerBasis(tuple(buchberger(gens, ZZ, V)), ZZ, V).render()
-    r2 = GroebnerBasis(tuple(buchberger(list(gens), ZZ, V)), ZZ, V).render()
+    r1 = [p.render() for p in Ideal(ZZ, V, gens).basis]
+    r2 = [p.render() for p in Ideal(ZZ, V, list(reversed(gens))).basis]
     assert r1 == r2
 
 
