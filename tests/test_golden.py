@@ -13,6 +13,16 @@ for every connected graph on at most 5 vertices.  They pin the Bareiss
 determinant, exact division and polynomial rendering; the digests were
 written by the code before grevlex became the only term order.
 
+tests/data/integer_golden.json holds the sha256 of the stdout of
+`charpoly --format json` and `matrix --format json` for every connected
+graph on 6 vertices, of `snf --format json` with both `--kind` values
+for every connected graph on at most 6 vertices, and of `families verify
+--format json`, plus the digest of (factors, U, V) of
+`distance_snf`/`distance_laplacian_snf(g, with_transforms=True)` for
+every connected graph on at most 6 vertices.  The digests were written
+by the code before the symbolic matrices became integer matrices with a
+diagonal of variables.
+
 Regenerate (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -27,10 +37,12 @@ import sys
 
 from distideal.cli import main
 from distideal.graph import emit_graph6, enumerate_connected, family
+from distideal.snf import distance_laplacian_snf, distance_snf
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_PATH = os.path.join(DATA, "ideals_golden.json")
 CHARPOLY_MATRIX_PATH = os.path.join(DATA, "charpoly_matrix_golden.json")
+INTEGER_PATH = os.path.join(DATA, "integer_golden.json")
 
 
 def golden_graphs():
@@ -40,12 +52,16 @@ def golden_graphs():
     return [emit_graph6(g) for g in graphs]
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def cli_digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv + ["--format", "json"])
     assert code == 0, argv
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return sha256(buf.getvalue())
 
 
 def compute_digests():
@@ -58,6 +74,24 @@ def compute_charpoly_matrix_digests():
     return {"%s %s" % (cmd, emit_graph6(g)):
             cli_digest([cmd, "--graph6", emit_graph6(g)])
             for g in enumerate_connected(5) for cmd in ("charpoly", "matrix")}
+
+
+def compute_integer_digests():
+    digests = {}
+    for g in enumerate_connected(6):
+        g6 = emit_graph6(g)
+        if g.n == 6:
+            for cmd in ("charpoly", "matrix"):
+                digests["%s %s" % (cmd, g6)] = cli_digest([cmd, "--graph6", g6])
+        for kind, snf in (("distance", distance_snf),
+                          ("distance-laplacian", distance_laplacian_snf)):
+            digests["snf %s %s" % (kind, g6)] = cli_digest(
+                ["snf", "--graph6", g6, "--kind", kind])
+            res = snf(g, with_transforms=True)
+            digests["transforms %s %s" % (kind, g6)] = sha256(
+                repr((res.factors, res.U, res.V)))
+    digests["families verify"] = cli_digest(["families", "verify"])
+    return digests
 
 
 def test_ideals_json_matches_golden_digests():
@@ -73,10 +107,18 @@ def test_charpoly_and_matrix_json_match_golden_digests():
     assert compute_charpoly_matrix_digests() == golden
 
 
+def test_integer_outputs_match_golden_digests():
+    with open(INTEGER_PATH) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 2 * 112 + 4 * 143 + 1
+    assert compute_integer_digests() == golden
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     for path, digests in ((GOLDEN_PATH, compute_digests()),
                           (CHARPOLY_MATRIX_PATH,
-                           compute_charpoly_matrix_digests())):
+                           compute_charpoly_matrix_digests()),
+                          (INTEGER_PATH, compute_integer_digests())):
         with open(path, "w") as fh:
             json.dump(digests, fh, indent=1, sort_keys=True)
             fh.write("\n")
