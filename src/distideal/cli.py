@@ -31,15 +31,32 @@ def _load_graph(args):
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     if args.edges_file is not None:
-        with open(args.edges_file) as fh:
-            lines = [ln.split() for ln in fh if ln.strip()
-                     and not ln.lstrip().startswith("#")]
-        if not lines:
-            raise CliError("empty edges file")
-        n = int(lines[0][0])
-        edges = [(int(a), int(b)) for a, b in lines[1:]]
-        return build_graph(n, edges)
+        return _read_edges_file(args.edges_file)
     return _parse_family(args.family_spec)
+
+
+def _read_edges_file(path):
+    """A header line with the vertex count, then one line ``u v`` per
+    edge; blank lines and lines starting with # are skipped."""
+    with open(path) as fh:
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise CliError("empty edges file")
+    (n,) = _ints(path, *lines[0], 1, "the vertex count")
+    return build_graph(n, [_ints(path, no, words, 2, "an edge u v")
+                           for no, words in lines[1:]])
+
+
+def _ints(path, no, words, count, what):
+    try:
+        if len(words) == count:
+            return tuple(int(w) for w in words)
+    except ValueError:
+        pass
+    raise CliError("%s line %d: expected %d integer%s (%s), got %r"
+                   % (path, no, count, "s" if count > 1 else "", what,
+                      " ".join(words)))
 
 
 def _parse_family(spec):
@@ -47,7 +64,10 @@ def _parse_family(spec):
     kind, _, rest = spec.partition(":")
     if not rest:
         raise CliError("family spec needs parameters, e.g. cycle:4")
-    params = [int(p) for p in rest.split(",")]
+    try:
+        params = [int(p) for p in rest.split(",")]
+    except ValueError:
+        raise CliError("family parameters must be integers, got %r" % rest)
     return family(kind, *params)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .groebner import Ideal, ideals_equal
-from .ideals import det_symbolic, matrix_from_rows, minors
+from .ideals import SymbolicMatrix, det_symbolic, minors
 from .poly import ZZ, Polynomial
 
 MAX_VERIFY_N = 5
@@ -61,11 +61,8 @@ def complete_ideal_gens(n, i):
 # diag(X) - m*I + m*J
 
 def mdiag_matrix(n, m):
-    variables = _vars_x(n)
-    one, xs = _gens_ring(variables)
-    rows = [[xs[u] if u == v else m * one for v in range(n)]
-            for u in range(n)]
-    return matrix_from_rows(ZZ, variables, rows)
+    return SymbolicMatrix(_vars_x(n), tuple(
+        tuple(0 if u == v else m for v in range(n)) for u in range(n)))
 
 
 def mdiag_det(n, m):
@@ -102,16 +99,9 @@ def star_vars(m):
 def star_matrix(m):
     """Generalized distance matrix of the star with m leaves,
     leaves first and center last."""
-    variables = star_vars(m)
-    one, xs = _gens_ring(variables)
-    y = xs[-1]
-    leaves = xs[:-1]
-    rows = []
-    for u in range(m):
-        rows.append([leaves[u] if v == u else (one if v == m else 2 * one)
-                     for v in range(m + 1)])
-    rows.append([one] * m + [y])
-    return matrix_from_rows(ZZ, variables, rows)
+    leaves = [tuple(0 if v == u else (1 if v == m else 2)
+                    for v in range(m + 1)) for u in range(m)]
+    return SymbolicMatrix(star_vars(m), tuple(leaves) + ((1,) * m + (0,),))
 
 
 def star_det(m):

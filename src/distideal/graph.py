@@ -67,17 +67,14 @@ def edge_list(g):
 
 def family(kind, *params):
     if kind == "complete":
-        (n,) = params
-        _positive(n)
+        (n,) = _sizes(kind, params, 1)
         return build_graph(n, combinations(range(n), 2))
     if kind == "complete_bipartite":
-        m, n = params
-        _positive(m, n)
+        m, n = _sizes(kind, params, 2)
         return build_graph(m + n, [(i, m + j) for i in range(m)
                                    for j in range(n)])
     if kind == "complete_tripartite":
-        m, n, o = params
-        _positive(m, n, o)
+        m, n, o = _sizes(kind, params, 3)
         parts = [range(0, m), range(m, m + n), range(m + n, m + n + o)]
         edges = []
         for a, b in combinations(parts, 2):
@@ -85,8 +82,7 @@ def family(kind, *params):
         return build_graph(m + n + o, edges)
     if kind == "join_split":
         # complement-of-K_n joined to the disjoint union K_m + K_o
-        n, m, o = params
-        _positive(n, m, o)
+        n, m, o = _sizes(kind, params, 3)
         ind = range(0, n)
         cl1 = range(n, n + m)
         cl2 = range(n + m, n + m + o)
@@ -97,25 +93,27 @@ def family(kind, *params):
         # m leaves 0..m-1 and center m, so the generalized distance
         # matrix has the leaves-first block layout used by the closed
         # star formulas.
-        (m,) = params
-        _positive(m)
+        (m,) = _sizes(kind, params, 1)
         return build_graph(m + 1, [(i, m) for i in range(m)])
     if kind == "path":
-        (n,) = params
-        _positive(n)
+        (n,) = _sizes(kind, params, 1)
         return build_graph(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "cycle":
-        (n,) = params
-        _positive(n)
+        (n,) = _sizes(kind, params, 1)
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
         return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
     raise ValueError("unknown family %r" % (kind,))
 
 
-def _positive(*sizes):
-    if any(s < 1 for s in sizes):
+def _sizes(kind, params, count):
+    if len(params) != count:
+        raise ValueError("family %s takes %d parameter%s, got %d"
+                         % (kind, count, "s" if count > 1 else "",
+                            len(params)))
+    if any(s < 1 for s in params):
         raise ValueError("sizes must be positive")
+    return params
 
 
 # ---------------------------------------------------------------------------

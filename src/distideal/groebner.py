@@ -140,19 +140,13 @@ def _minimize_and_interreduce(polys, ring):
                 break
         if not redundant:
             kept.append(p)
-    # tail reduction to a fixpoint; leading terms are stable here
-    changed = True
-    while changed:
-        changed = False
-        for i, p in enumerate(kept):
-            pm, pc = p.leading()
-            lt = Polynomial(ring, p.vars, {pm: pc})
-            others = kept[:i] + kept[i + 1:]
-            tail = reduce_poly(p - lt, others)
-            new = _sign_normalize(lt + tail)
-            if new != p:
-                kept[i] = new
-                changed = True
+    # one pass of tail reduction: the leading terms are fixed by now, so
+    # a tail reduced against them stays reduced
+    for i, p in enumerate(kept):
+        pm, pc = p.leading()
+        lt = Polynomial(ring, p.vars, {pm: pc})
+        tail = reduce_poly(p - lt, kept[:i] + kept[i + 1:])
+        kept[i] = _sign_normalize(lt + tail)
     kept.sort(key=lambda p: (monomial_key(p.leading()[0]),
                              p.sort_key()))
     return kept

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from . import snf
 from .graph import all_pairs_distances
 from .groebner import Ideal
-from .poly import ZZ, Polynomial, exact_div, make_vars
+from .poly import ZZ, Polynomial, make_vars
 
 # guard for the sum over i of C(n,i)^2 minors a chain expands
 MAX_MINOR_N = 8
@@ -19,85 +20,56 @@ MAX_MINOR_N = 8
 
 @dataclass(frozen=True)
 class SymbolicMatrix:
-    ring: str
+    """diag(vars) + const: an integer matrix with the variable vars[k]
+    added to its k-th diagonal entry.  Every minor is read off the
+    integer minors of ``const``."""
     vars: tuple
-    entries: tuple  # tuple of tuples of Polynomial
+    const: tuple  # tuple of tuples of int
 
     @property
     def n(self):
-        return len(self.entries)
+        return len(self.const)
 
     @cached_property
     def laplace(self):
-        """The matrix's own minor memo, shared by every minor size."""
-        return snf.LaplaceMemo(self.entries,
-                               Polynomial.zero(self.ring, self.vars),
-                               Polynomial.const(self.ring, self.vars, 1))
+        """The integer minor memo of ``const``, shared by every minor."""
+        return snf.LaplaceMemo(self.const)
 
+    def minor(self, rsub, csub):
+        """Determinant of rows ``rsub`` and columns ``csub`` (sorted).
 
-def matrix_from_rows(ring, variables, rows):
-    return SymbolicMatrix(ring, tuple(variables),
-                          tuple(tuple(row) for row in rows))
+        It is multilinear in the variables x_k with k in both: the
+        coefficient of the product over a set S of them is the integer
+        minor without the rows and columns S, signed by the positions
+        of S in rsub and csub."""
+        common = [(k, pr + csub.index(k)) for pr, k in enumerate(rsub)
+                  if k in csub]
+        terms = {}
+        for size in range(len(common) + 1):
+            for S in combinations(common, size):
+                out = {k for k, _ in S}
+                d = self.laplace.det(tuple(r for r in rsub if r not in out),
+                                     tuple(c for c in csub if c not in out))
+                if d:
+                    mono = tuple(int(k in out) for k in range(self.n))
+                    terms[mono] = -d if sum(p for _, p in S) % 2 else d
+        return Polynomial._make(ZZ, self.vars, terms)
+
+    @property
+    def entries(self):
+        """The matrix as rows of polynomial entries (its 1 x 1 minors)."""
+        idx = range(self.n)
+        return tuple(tuple(self.minor((r,), (c,)) for c in idx) for r in idx)
 
 
 def generalized_distance_matrix(g):
     """diag(x_0..x_{n-1}) + D(G) over ZZ."""
-    dm = all_pairs_distances(g)
-    variables = make_vars(g.n)
-    rows = []
-    for u in range(g.n):
-        row = []
-        for v in range(g.n):
-            if u == v:
-                row.append(Polynomial.variable(ZZ, variables, variables[u]))
-            else:
-                row.append(Polynomial.const(ZZ, variables, dm[u][v]))
-        rows.append(row)
-    return matrix_from_rows(ZZ, variables, rows)
-
-
-# ---------------------------------------------------------------------------
-# determinants
-
-def det_bareiss(matrix):
-    """Fraction-free Bareiss elimination; divisions are exact."""
-    n = matrix.n
-    if n == 0:
-        return Polynomial.const(matrix.ring, matrix.vars, 1)
-    M = [list(row) for row in matrix.entries]
-    one = Polynomial.const(matrix.ring, matrix.vars, 1)
-    zero = Polynomial.zero(matrix.ring, matrix.vars)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero():
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = exact_div(num, prev)
-            M[i][k] = zero
-        prev = M[k][k]
-    return M[n - 1][n - 1] * sign
-
-
-def det_laplace(matrix):
-    idx = tuple(range(matrix.n))
-    return matrix.laplace.det(idx, idx)
+    return SymbolicMatrix(make_vars(g.n), all_pairs_distances(g))
 
 
 def det_symbolic(matrix):
-    """Exact determinant, cross-checked between Bareiss and Laplace."""
-    b = det_bareiss(matrix)
-    if b != det_laplace(matrix):
-        raise AssertionError("determinant engines disagree")
-    return b
+    idx = tuple(range(matrix.n))
+    return matrix.minor(idx, idx)
 
 
 def minors(matrix, i, allow_large=False):
@@ -109,9 +81,11 @@ def minors(matrix, i, allow_large=False):
         raise ValueError("minor enumeration needs allow_large for n=%d, i=%d"
                          % (n, i))
     seen = set()
-    for d in matrix.laplace.minors(i):
-        if not d.is_zero():
-            seen.add(d if d.leading()[1] > 0 else -d)
+    for rsub in combinations(range(n), i):
+        for csub in combinations(range(n), i):
+            d = matrix.minor(rsub, csub)
+            if not d.is_zero():
+                seen.add(d if d.leading()[1] > 0 else -d)
     return sorted(seen, key=lambda p: p.sort_key())
 
 
@@ -176,19 +150,18 @@ CHAR_VAR = "lam"
 
 
 def char_poly_distance(g):
-    """(monic char poly of D(G) in lam, sorted integer roots)."""
-    dm = all_pairs_distances(g)
-    variables = (CHAR_VAR,)
-    lam = Polynomial.variable(ZZ, variables, CHAR_VAR)
-    rows = []
-    for u in range(g.n):
-        rows.append([-lam if u == v
-                     else Polynomial.const(ZZ, variables, dm[u][v])
-                     for v in range(g.n)])
-    m = matrix_from_rows(ZZ, variables, rows)
-    p = det_bareiss(m)
-    if g.n % 2:
-        p = -p  # det(D - lam*I) = (-1)^n * charpoly(lam)
+    """(monic char poly of D(G) in lam, sorted integer roots).
+
+    The coefficient of lam^(n-k) is (-1)^k times the sum of the
+    principal k-minors of D(G)."""
+    n = g.n
+    memo = snf.LaplaceMemo(all_pairs_distances(g))
+    terms = {}
+    for k in range(n + 1):
+        e = sum(memo.det(s, s) for s in combinations(range(n), k))
+        if e:
+            terms[(n - k,)] = -e if k % 2 else e
+    p = Polynomial._make(ZZ, (CHAR_VAR,), terms)
     return p, _integer_roots(p)
 
 

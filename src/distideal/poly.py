@@ -10,7 +10,7 @@ triviality of an ideal does not depend on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappush
 from operator import add, le, neg, sub
 
 ZZ = "ZZ"
@@ -317,30 +317,3 @@ def subtract_term_multiple(terms, heap, q, shift, items):
                 terms[t] = v
             else:
                 del terms[t]
-
-
-def exact_div(f, g):
-    """Exact quotient f / g in the polynomial domain; raises if inexact."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    f._check(g)
-    gm, gc = g.leading()
-    r = dict(f.terms)
-    heap = [(descending_key(m), m) for m in r]
-    heapify(heap)
-    q = {}
-    while heap:
-        rm = heappop(heap)[1]
-        rc = r.get(rm)
-        if rc is None:
-            continue
-        m = mono_div(rm, gm)
-        if f.ring == ZZ:
-            if rc % gc:
-                raise ValueError("inexact division")
-            c = rc // gc
-        else:
-            c = rc / gc
-        q[m] = c
-        subtract_term_multiple(r, heap, c, m, g.terms.items())
-    return Polynomial._make(f.ring, f.vars, q)

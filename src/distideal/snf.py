@@ -1,7 +1,7 @@
 """Smith normal form of integer matrices by elementary row/column
-operations, the memoized minor expansion shared with the symbolic
-matrices of ``ideals``, and the distance and distance-Laplacian SNF of a
-graph.
+operations, the memoized integer minor expansion that the symbolic
+matrices of ``ideals`` read their minors from, and the distance and
+distance-Laplacian SNF of a graph.
 
 Pivots are chosen by minimal absolute value; when the pivot fails to
 divide the remaining block, a row addition re-exposes the obstruction
@@ -47,35 +47,31 @@ def smith_normal_form(matrix, with_transforms=False):
         raise ValueError("matrix is not rectangular")
     U = _identity(rows) if with_transforms else None
     V = _identity(cols) if with_transforms else None
+    # row operations act on M and U, column operations on M and V
+    row_mats = [M, U] if with_transforms else [M]
+    col_mats = [M, V] if with_transforms else [M]
 
     def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        if U:
-            U[i], U[j] = U[j], U[i]
+        for A in row_mats:
+            A[i], A[j] = A[j], A[i]
 
     def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        if V:
-            for row in V:
+        for A in col_mats:
+            for row in A:
                 row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
-        M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
-        if U:
-            U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+        for A in row_mats:
+            A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
 
     def add_col(dst, src, q):
-        for row in M:
-            row[dst] += q * row[src]
-        if V:
-            for row in V:
+        for A in col_mats:
+            for row in A:
                 row[dst] += q * row[src]
 
     def negate_row(i):
-        M[i] = [-a for a in M[i]]
-        if U:
-            U[i] = [-a for a in U[i]]
+        for A in row_mats:
+            A[i] = [-a for a in A[i]]
 
     r = min(rows, cols)
     for k in range(r):
@@ -136,36 +132,33 @@ def smith_normal_form(matrix, with_transforms=False):
 
 
 class LaplaceMemo:
-    """Memoized Laplace expansion of the square submatrices of one matrix.
+    """Memoized Laplace expansion of the square submatrices of one integer
+    matrix.
 
-    Entries may be ints or Polynomials: only +, * and comparison with
-    ``zero`` are used.  The determinant of rows ``rsub`` and columns
-    ``csub`` expands along its first row into determinants one size
-    smaller, which the memo keeps, so the i-minors of a matrix reuse
-    every (i-1)-minor already computed.
+    The determinant of rows ``rsub`` and columns ``csub`` expands along
+    its first row into determinants one size smaller, which the memo
+    keeps, so the i-minors of a matrix reuse every (i-1)-minor already
+    computed.
     """
 
-    def __init__(self, rows, zero=0, one=1):
+    def __init__(self, rows):
         self.rows = rows
-        self.zero = zero
-        self.one = one
         self.memo = {}
 
     def det(self, rsub, csub):
         if len(rsub) <= 1:
-            return self.rows[rsub[0]][csub[0]] if rsub else self.one
+            return self.rows[rsub[0]][csub[0]] if rsub else 1
         key = (rsub, csub)
         total = self.memo.get(key)
         if total is None:
-            zero = self.zero
             row = self.rows[rsub[0]]
             rest = rsub[1:]
-            total = zero
+            total = 0
             sign = 1
             for idx, c in enumerate(csub):
-                if row[c] != zero:
+                if row[c]:
                     sub = csub[:idx] + csub[idx + 1:]
-                    total = total + sign * row[c] * self.det(rest, sub)
+                    total += sign * row[c] * self.det(rest, sub)
                 sign = -sign
             self.memo[key] = total
         return total

@@ -145,3 +145,46 @@ def test_jobs_ignores_environment(monkeypatch, capsys):
     assert build_parser().parse_args(["classify"]).jobs == 1
     payload = run_json(capsys, "corpus", "--nmax", "2", "--format", "json")
     assert payload["counts"] == {"1": 1, "2": 1}
+
+
+def test_family_spec_wrong_parameter_count(capsys):
+    code, _, err = run(capsys, "matrix", "--family", "path:1,2")
+    assert code == 1
+    assert err == "error: family path takes 1 parameter, got 2\n"
+    code, _, err = run(capsys, "matrix", "--family", "complete_bipartite:2")
+    assert code == 1
+    assert err == ("error: family complete_bipartite takes 2 parameters, "
+                   "got 1\n")
+    code, _, err = run(capsys, "matrix", "--family", "path:a")
+    assert code == 1
+    assert err == "error: family parameters must be integers, got 'a'\n"
+
+
+def _edges_file(tmp_path, text):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def test_edges_file_trailing_comment_on_edge_line(capsys, tmp_path):
+    path = _edges_file(tmp_path, "# claw\n4\n0 1\n0 2 # spoke\n0 3\n")
+    code, _, err = run(capsys, "matrix", "--edges-file", path)
+    assert code == 1
+    assert err == ("error: %s line 4: expected 2 integers (an edge u v), "
+                   "got '0 2 # spoke'\n" % path)
+
+
+def test_edges_file_header_with_extra_token(capsys, tmp_path):
+    path = _edges_file(tmp_path, "\n3 extra\n0 1\n1 2\n")
+    code, _, err = run(capsys, "matrix", "--edges-file", path)
+    assert code == 1
+    assert err == ("error: %s line 2: expected 1 integer (the vertex "
+                   "count), got '3 extra'\n" % path)
+
+
+def test_edges_file_bad_tokens(capsys, tmp_path):
+    for text, line in (("x\n", 1), ("3\n0 1\n1\n", 3), ("3\n0 one\n", 2)):
+        path = _edges_file(tmp_path, text)
+        code, _, err = run(capsys, "matrix", "--edges-file", path)
+        assert code == 1
+        assert err.startswith("error: %s line %d: expected " % (path, line))

@@ -1,0 +1,64 @@
+"""Differential tests of the integer-memo minors, determinants and char
+polys against the fraction-free Bareiss engine of reference_det."""
+
+from itertools import combinations
+
+import pytest
+
+from distideal.families import FamilySpec, _family_row, verification_table
+from distideal.graph import all_pairs_distances, enumerate_connected
+from distideal.ideals import (CHAR_VAR, char_poly_distance, det_symbolic,
+                              generalized_distance_matrix)
+from distideal.poly import ZZ, Polynomial
+from reference_det import PolyMatrix, det_bareiss
+
+
+def _reference_minor(matrix, entries, rsub, csub):
+    return det_bareiss(PolyMatrix(ZZ, matrix.vars, tuple(
+        tuple(entries[r][c] for c in csub) for r in rsub)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5,
+                                   pytest.param(6, marks=pytest.mark.slow)])
+def test_every_minor_matches_bareiss(order):
+    for g in enumerate_connected(order):
+        if g.n != order:
+            continue
+        m = generalized_distance_matrix(g)
+        entries = m.entries
+        for i in range(1, g.n + 1):
+            for rsub in combinations(range(g.n), i):
+                for csub in combinations(range(g.n), i):
+                    assert m.minor(rsub, csub) == \
+                        _reference_minor(m, entries, rsub, csub)
+
+
+def _reference_char_poly(g):
+    # det(D - lam*I) = (-1)^n * charpoly(lam)
+    dm = all_pairs_distances(g)
+    variables = (CHAR_VAR,)
+    lam = Polynomial.variable(ZZ, variables, CHAR_VAR)
+    rows = tuple(tuple(-lam if u == v
+                       else Polynomial.const(ZZ, variables, dm[u][v])
+                       for v in range(g.n)) for u in range(g.n))
+    p = det_bareiss(PolyMatrix(ZZ, variables, rows))
+    return -p if g.n % 2 else p
+
+
+def test_det_and_char_poly_match_bareiss():
+    for g in enumerate_connected(6):
+        m = generalized_distance_matrix(g)
+        assert det_symbolic(m) == det_bareiss(PolyMatrix(ZZ, m.vars,
+                                                         m.entries))
+        assert char_poly_distance(g)[0] == _reference_char_poly(g)
+
+
+def test_family_dets_match_bareiss():
+    rows = verification_table()
+    kinds = {row["kind"] for row in rows}
+    assert kinds == {"complete", "mdiag", "star"}
+    for row in rows:
+        spec = FamilySpec(row["kind"], n=row["n"], m=row["m"])
+        mat = _family_row(spec.kind, spec.n, spec.m)[1]
+        assert det_symbolic(mat) == det_bareiss(PolyMatrix(ZZ, mat.vars,
+                                                           mat.entries))

@@ -9,8 +9,8 @@ here.
 
 tests/data/charpoly_matrix_golden.json holds the sha256 of the stdout of
 `distideal charpoly --format json` and `distideal matrix --format json`
-for every connected graph on at most 5 vertices.  They pin the Bareiss
-determinant, exact division and polynomial rendering; the digests were
+for every connected graph on at most 5 vertices.  They pin the char
+poly, the matrix entries and polynomial rendering; the digests were
 written by the code before grevlex became the only term order.
 
 tests/data/integer_golden.json holds the sha256 of the stdout of

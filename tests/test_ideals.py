@@ -6,13 +6,14 @@ import pytest
 from distideal.graph import (all_pairs_distances, build_graph, diameter,
                              enumerate_connected, family, is_connected)
 from distideal.groebner import Ideal, ideals_equal
-from distideal.ideals import (char_poly_distance, det_bareiss, det_laplace,
-                              det_symbolic, distance_ideal, evaluate_ideal,
+from distideal.ideals import (char_poly_distance, det_symbolic,
+                              distance_ideal, evaluate_ideal,
                               generalized_distance_matrix, ideal_report,
                               minors, trivial_count_phi)
 from distideal.poly import QQ, ZZ, Polynomial, make_vars
 from distideal.snf import smith_normal_form
 from poly_helpers import compose
+from reference_det import PolyMatrix, det_bareiss
 
 CLAW = build_graph(4, [(0, 1), (0, 2), (0, 3)])  # center 0, as in the example
 
@@ -72,12 +73,6 @@ def test_det_c4_singular_at_zero():
     assert d.substitute({v: 0 for v in m.vars}).is_zero()
 
 
-def test_det_engines_agree():
-    for g in enumerate_connected(5):
-        m = generalized_distance_matrix(g)
-        assert det_bareiss(m) == det_laplace(m)
-
-
 def test_minors_k2():
     m = generalized_distance_matrix(family("complete", 2))
     out = minors(m, 2)
@@ -94,11 +89,7 @@ def test_minor_p4_with_dominating_vertex():
     # on rows {v2,v4}, cols {v1,v3} is -1
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 4)])
     m = generalized_distance_matrix(g)
-    sub = [[m.entries[1][0], m.entries[1][2]],
-           [m.entries[3][0], m.entries[3][2]]]
-    from distideal.ideals import matrix_from_rows
-    d = det_symbolic(matrix_from_rows(ZZ, m.vars, sub))
-    assert d == Polynomial.const(ZZ, m.vars, -1)
+    assert m.minor((1, 3), (0, 2)) == Polynomial.const(ZZ, m.vars, -1)
 
 
 def test_minors_range_guard():
@@ -344,11 +335,19 @@ def test_single_index_report_keeps_full_chain_phi(ring, orders):
 
 
 def test_rational_minors_are_integer_minors_converted():
-    from distideal.ideals import matrix_from_rows
+    # the i-minors of D(G, X) with entries over QQ, by Bareiss over QQ,
+    # are the integer minors converted
     for g in (family("cycle", 5), family("path", 5),
               family("complete_bipartite", 2, 3)):
         mz = generalized_distance_matrix(g)
-        mq = matrix_from_rows(QQ, mz.vars, [[e.to_ring(QQ) for e in row]
-                                            for row in mz.entries])
+        rows = [[e.to_ring(QQ) for e in row] for row in mz.entries]
         for i in range(1, g.n + 1):
-            assert minors(mq, i) == [p.to_ring(QQ) for p in minors(mz, i)]
+            seen = set()
+            for rsub in combinations(range(g.n), i):
+                for csub in combinations(range(g.n), i):
+                    d = det_bareiss(PolyMatrix(QQ, mz.vars, tuple(
+                        tuple(rows[r][c] for c in csub) for r in rsub)))
+                    if not d.is_zero():
+                        seen.add(d if d.leading()[1] > 0 else -d)
+            assert sorted(seen, key=lambda p: p.sort_key()) == \
+                [p.to_ring(QQ) for p in minors(mz, i)]
