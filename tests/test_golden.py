@@ -23,6 +23,12 @@ every connected graph on at most 6 vertices.  The digests were written
 by the code before the symbolic matrices became integer matrices with a
 diagonal of variables.
 
+tests/data/corpus_golden.json pins the enumeration order: the sha256 of
+the stdout of `distideal corpus --nmax 6 --format json`, and of the
+newline-joined graph6 strings of `enumerate_connected(7)` in the order
+they are yielded.  The digests were written by the code before the
+enumeration sorted canonical forms instead of graphs.
+
 Regenerate (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -35,6 +41,8 @@ import json
 import os
 import sys
 
+import pytest
+
 from distideal.cli import main
 from distideal.graph import emit_graph6, enumerate_connected, family
 from distideal.snf import distance_laplacian_snf, distance_snf
@@ -43,6 +51,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_PATH = os.path.join(DATA, "ideals_golden.json")
 CHARPOLY_MATRIX_PATH = os.path.join(DATA, "charpoly_matrix_golden.json")
 INTEGER_PATH = os.path.join(DATA, "integer_golden.json")
+CORPUS_PATH = os.path.join(DATA, "corpus_golden.json")
 
 
 def golden_graphs():
@@ -94,6 +103,19 @@ def compute_integer_digests():
     return digests
 
 
+def corpus_json_digest():
+    return cli_digest(["corpus", "--nmax", "6"])
+
+
+def enumeration_digest():
+    return sha256("\n".join(emit_graph6(g) for g in enumerate_connected(7)))
+
+
+def compute_corpus_digests():
+    return {"corpus --nmax 6": corpus_json_digest(),
+            "enumerate_connected(7)": enumeration_digest()}
+
+
 def test_ideals_json_matches_golden_digests():
     with open(GOLDEN_PATH) as fh:
         golden = json.load(fh)
@@ -114,11 +136,26 @@ def test_integer_outputs_match_golden_digests():
     assert compute_integer_digests() == golden
 
 
+def _corpus_golden():
+    with open(CORPUS_PATH) as fh:
+        return json.load(fh)
+
+
+def test_corpus_json_matches_golden_digest():
+    assert corpus_json_digest() == _corpus_golden()["corpus --nmax 6"]
+
+
+@pytest.mark.slow
+def test_enumeration_order_matches_golden_digest():
+    assert enumeration_digest() == _corpus_golden()["enumerate_connected(7)"]
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     for path, digests in ((GOLDEN_PATH, compute_digests()),
                           (CHARPOLY_MATRIX_PATH,
                            compute_charpoly_matrix_digests()),
-                          (INTEGER_PATH, compute_integer_digests())):
+                          (INTEGER_PATH, compute_integer_digests()),
+                          (CORPUS_PATH, compute_corpus_digests())):
         with open(path, "w") as fh:
             json.dump(digests, fh, indent=1, sort_keys=True)
             fh.write("\n")
