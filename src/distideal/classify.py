@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from multiprocessing import Pool
 
 from .graph import (PATTERNS, contains_induced, emit_graph6,
-                    enumerate_connected, is_connected, parse_graph6)
+                    enumerate_connected, is_connected)
 from .ideals import trivial_count_phi
 from .poly import QQ, ZZ
 
@@ -103,12 +102,6 @@ def classify(g, ring):
     return classify_Z(g) if ring == "Z" else classify_R(g)
 
 
-def _worker(args):
-    g6, ring = args
-    rep = classify(parse_graph6(g6), ring)
-    return (g6, rep.ideal_based, rep.forbidden_based, rep.structural)
-
-
 # ---------------------------------------------------------------------------
 # forbidden-graph minimality (bounded to the patterns themselves)
 
@@ -159,33 +152,26 @@ class CorpusReport:
         }
 
 
-def corpus_report(n_max, ring, jobs=1):
+def corpus_report(n_max, ring):
     """Run all three deciders over the connected corpus and compare."""
     if not (1 <= n_max <= 7):
         raise ValueError("n_max out of range")
-    graphs = list(enumerate_connected(n_max))
-    items = [(emit_graph6(g), ring) for g in graphs]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            results = pool.map(_worker, items)
-    else:
-        results = [_worker(item) for item in items]
-    per_size = {}
     passing = 0
+    per_size = {}
     disagreements = []
-    for g6, ideal_based, forbidden, structural in results:
-        n = parse_graph6(g6).n
-        stats = per_size.setdefault(n, {"total": 0, "passing": 0})
+    for g in enumerate_connected(n_max):
+        rep = classify(g, ring)
+        stats = per_size.setdefault(g.n, {"total": 0, "passing": 0})
         stats["total"] += 1
-        if ideal_based:
+        if rep.ideal_based:
             passing += 1
             stats["passing"] += 1
-        if not (ideal_based == forbidden == structural):
-            disagreements.append(g6)
+        if not rep.agreement:
+            disagreements.append(emit_graph6(g))
     return CorpusReport(
         ring=ring,
         n_max=n_max,
-        total=len(graphs),
+        total=sum(s["total"] for s in per_size.values()),
         passing=passing,
         per_size=per_size,
         disagreements=disagreements,

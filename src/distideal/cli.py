@@ -23,6 +23,14 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: print the usage, then exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
+
+
 def _load_graph(args):
     sources = [s for s in (args.graph6, args.edges_file, args.family_spec)
                if s is not None]
@@ -94,7 +102,7 @@ def _add_format(p):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distideal",
         description="distance ideals, Groebner bases and Smith normal forms "
                     "of small connected graphs")
@@ -127,7 +135,6 @@ def build_parser():
     _add_format(p)
     p.add_argument("--ring", choices=("Z", "R"), default="Z")
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("families", help="verify closed-form family theorems")
     _add_format(p)
@@ -193,7 +200,7 @@ def cmd_charpoly(args):
 
 
 def cmd_classify(args):
-    report = classify_mod.corpus_report(args.nmax, args.ring, jobs=args.jobs)
+    report = classify_mod.corpus_report(args.nmax, args.ring)
     payload = report.to_json()
     text = ("pass %d/%d, disagreements %d, minimal forbidden %s"
             % (report.passing, report.total, len(report.disagreements),
@@ -237,9 +244,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except (CliError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -233,13 +233,8 @@ def transmissions(g):
     return tuple(sum(row) for row in dm)
 
 
-def diameter(g):
-    dm = all_pairs_distances(g)
-    return max(max(row) for row in dm)
-
-
 # ---------------------------------------------------------------------------
-# canonical form and isomorphism (exhaustive, n <= 7 scale)
+# canonical form (exhaustive, n <= 7 scale)
 
 def _perm_bits(adjmat, perm):
     bits = 0
@@ -286,14 +281,6 @@ def from_canonical_form(form):
     return build_graph(n, edges)
 
 
-def are_isomorphic(g, h):
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return canonical_form(g) == canonical_form(h)
-
-
 def contains_induced(g, pattern):
     """True iff some vertex subset of g induces a copy of pattern."""
     if isinstance(pattern, str):
@@ -325,19 +312,15 @@ def enumerate_connected(n_max):
     level = [build_graph(1, [])]
     yield level[0]
     for n in range(2, n_max + 1):
-        seen = set()
-        nxt = []
+        forms = set()
         for g in level:
             base = edge_list(g)
             for mask in range(1, 1 << (n - 1)):
                 edges = base + [(v, n - 1) for v in range(n - 1)
                                 if (mask >> v) & 1]
-                cand = build_graph(n, edges)
-                form = canonical_form(cand)
-                if form not in seen:
-                    seen.add(form)
-                    nxt.append(from_canonical_form(form))
-        nxt.sort(key=lambda h: (len(h.edges), canonical_form(h)[1]))
-        for g in nxt:
-            yield g
-        level = nxt
+                forms.add(canonical_form(build_graph(n, edges)))
+        # a graph built from its canonical form has that form again, so
+        # the graphs come out sorted by (edge count, canonical form)
+        level = [from_canonical_form(form) for form in
+                 sorted(forms, key=lambda f: (f[1].bit_count(), f[1]))]
+        yield from level

@@ -22,7 +22,10 @@ MAX_MINOR_N = 8
 class SymbolicMatrix:
     """diag(vars) + const: an integer matrix with the variable vars[k]
     added to its k-th diagonal entry.  Every minor is read off the
-    integer minors of ``const``."""
+    integer minors of ``const``.
+
+    ``const`` is symmetric (a distance matrix, or one of the family
+    matrices), so minor(C, R) = minor(R, C)."""
     vars: tuple
     const: tuple  # tuple of tuples of int
 
@@ -41,18 +44,22 @@ class SymbolicMatrix:
         It is multilinear in the variables x_k with k in both: the
         coefficient of the product over a set S of them is the integer
         minor without the rows and columns S, signed by the positions
-        of S in rsub and csub."""
+        of S in rsub and csub.  S = {} gives the constant term."""
+        det, n = self.laplace.det, self.n
+        d = det(rsub, csub)
+        terms = {(0,) * n: d} if d else {}
         common = [(k, pr + csub.index(k)) for pr, k in enumerate(rsub)
                   if k in csub]
-        terms = {}
-        for size in range(len(common) + 1):
+        for size in range(1, len(common) + 1):
             for S in combinations(common, size):
-                out = {k for k, _ in S}
-                d = self.laplace.det(tuple(r for r in rsub if r not in out),
-                                     tuple(c for c in csub if c not in out))
+                out = [k for k, _ in S]
+                d = det(tuple(r for r in rsub if r not in out),
+                        tuple(c for c in csub if c not in out))
                 if d:
-                    mono = tuple(int(k in out) for k in range(self.n))
-                    terms[mono] = -d if sum(p for _, p in S) % 2 else d
+                    mono = [0] * n
+                    for k in out:
+                        mono[k] = 1
+                    terms[tuple(mono)] = -d if sum(p for _, p in S) % 2 else d
         return Polynomial._make(ZZ, self.vars, terms)
 
     @property
@@ -73,7 +80,9 @@ def det_symbolic(matrix):
 
 
 def minors(matrix, i, allow_large=False):
-    """All nonzero i x i minors, deduplicated up to sign and sorted."""
+    """All nonzero i x i minors, deduplicated up to sign and sorted.
+
+    By symmetry each unordered pair of index sets is visited once."""
     n = matrix.n
     if not (1 <= i <= n):
         raise ValueError("minor size out of range")
@@ -81,8 +90,9 @@ def minors(matrix, i, allow_large=False):
         raise ValueError("minor enumeration needs allow_large for n=%d, i=%d"
                          % (n, i))
     seen = set()
-    for rsub in combinations(range(n), i):
-        for csub in combinations(range(n), i):
+    subsets = list(combinations(range(n), i))
+    for a, rsub in enumerate(subsets):
+        for csub in subsets[a:]:
             d = matrix.minor(rsub, csub)
             if not d.is_zero():
                 seen.add(d if d.leading()[1] > 0 else -d)

@@ -15,7 +15,7 @@ import pytest
 from distideal import groebner
 from distideal.classify import corpus_report
 from distideal.families import verification_table
-from distideal.graph import (build_graph, contains_induced, diameter,
+from distideal.graph import (build_graph, contains_induced,
                              enumerate_connected, family, is_connected)
 from distideal.groebner import Ideal, ideals_equal
 from distideal.ideals import (char_poly_distance, distance_ideal,
@@ -24,6 +24,7 @@ from distideal.poly import QQ, ZZ, Polynomial
 from distideal.snf import (distance_laplacian_matrix, distance_laplacian_snf,
                            distance_snf, minors_gcd, phi_unit_count,
                            smith_normal_form)
+from graph_helpers import diameter
 from poly_helpers import compose
 
 CLAW = build_graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -157,12 +158,12 @@ def test_criterion_05_family_theorems():
 
 def test_criterion_06_classification_corpus():
     def body():
-        rz = corpus_report(6, "Z", jobs=4)
+        rz = corpus_report(6, "Z")
         assert rz.total == 143
         assert rz.disagreements == [] and rz.minimal_forbidden
         assert [rz.per_size[n]["passing"] for n in range(1, 7)] == \
             [1, 1, 2, 3, 3, 4]
-        rr = corpus_report(6, "R", jobs=4)
+        rr = corpus_report(6, "R")
         assert rr.disagreements == [] and rr.minimal_forbidden
         assert [rr.per_size[n]["passing"] for n in range(1, 7)] == \
             [1, 1, 2, 2, 2, 2]

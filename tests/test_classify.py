@@ -83,12 +83,6 @@ def test_corpus_report_json_shape():
     assert rep["per_size"]["3"]["total"] == 2
 
 
-def test_corpus_report_jobs_consistent():
-    a = corpus_report(4, "R", jobs=1).to_json()
-    b = corpus_report(4, "R", jobs=2).to_json()
-    assert a == b
-
-
 def test_corpus_report_range():
     with pytest.raises(ValueError):
         corpus_report(0, "Z")

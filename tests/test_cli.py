@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 
 import jsonschema
 import pytest
@@ -10,6 +11,7 @@ SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src",
                            "distideal", "schemas", "report-v1.schema.json")
 with open(SCHEMA_PATH) as _fh:
     SCHEMA = json.load(_fh)
+README_PATH = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def run(capsys, *argv):
@@ -104,6 +106,8 @@ def test_corpus_counts(capsys):
     payload = run_json(capsys, "corpus", "--nmax", "5", "--format", "json")
     assert payload["counts"] == {"1": 1, "2": 1, "3": 2, "4": 6, "5": 21}
     assert len(payload["graphs"]) == 31
+    payload = run_json(capsys, "corpus", "--nmax", "2", "--format", "json")
+    assert payload["counts"] == {"1": 1, "2": 1}
 
 
 def test_exit_code_bad_graph6(capsys):
@@ -122,6 +126,47 @@ def test_exit_code_two_sources(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["ideals", "--family", "cycle:4", "--ring", "X"],
+    ["ideals", "--family", "cycle:4", "--index", "two"],
+    ["classify", "--jobs", "2"],
+    ["classify", "--nmax"],
+    ["bogus"],
+    [],
+])
+def test_exit_code_usage_error(capsys, argv):
+    # usage errors are bad input (1); 2 means a verification failure
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: distideal") and "\nerror: " in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["classify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: distideal")
+
+
+def _readme_commands():
+    """The ``distideal ...`` lines of README's command-line block."""
+    with open(README_PATH) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("distideal ")]
+
+
+def test_readme_commands_exit_zero(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
 def test_family_spec_requires_params(capsys):
     code, _, err = run(capsys, "matrix", "--family", "cycle")
     assert code == 1
@@ -137,14 +182,6 @@ def test_ideals_five_vertices_without_allow_large(capsys):
     code, out, err = run(capsys, "ideals", "--graph6", "D?{")
     assert code == 0, err
     assert out.strip().splitlines()[-1].startswith("phi = ")
-
-
-def test_jobs_ignores_environment(monkeypatch, capsys):
-    from distideal.cli import build_parser
-    monkeypatch.setenv("DISTIDEAL_JOBS", "x")
-    assert build_parser().parse_args(["classify"]).jobs == 1
-    payload = run_json(capsys, "corpus", "--nmax", "2", "--format", "json")
-    assert payload["counts"] == {"1": 1, "2": 1}
 
 
 def test_family_spec_wrong_parameter_count(capsys):

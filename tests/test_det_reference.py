@@ -1,14 +1,17 @@
 """Differential tests of the integer-memo minors, determinants and char
-polys against the fraction-free Bareiss engine of reference_det."""
+polys against the fraction-free Bareiss engine of reference_det, and of
+the symmetric halving in ``minors`` against the full rows x columns
+enumeration."""
 
 from itertools import combinations
 
 import pytest
 
-from distideal.families import FamilySpec, _family_row, verification_table
-from distideal.graph import all_pairs_distances, enumerate_connected
+from distideal.families import (FamilySpec, _family_row, mdiag_matrix,
+                                star_matrix, verification_table)
+from distideal.graph import all_pairs_distances, enumerate_connected, family
 from distideal.ideals import (CHAR_VAR, char_poly_distance, det_symbolic,
-                              generalized_distance_matrix)
+                              generalized_distance_matrix, minors)
 from distideal.poly import ZZ, Polynomial
 from reference_det import PolyMatrix, det_bareiss
 
@@ -62,3 +65,53 @@ def test_family_dets_match_bareiss():
         mat = _family_row(spec.kind, spec.n, spec.m)[1]
         assert det_symbolic(mat) == det_bareiss(PolyMatrix(ZZ, mat.vars,
                                                            mat.entries))
+
+
+def _reference_minors(matrix, i):
+    """Every rows x columns pair of index sets, deduplicated up to sign
+    and sorted: ``minors`` before it used the symmetry of the matrix."""
+    seen = set()
+    for rsub in combinations(range(matrix.n), i):
+        for csub in combinations(range(matrix.n), i):
+            d = matrix.minor(rsub, csub)
+            if not d.is_zero():
+                seen.add(d if d.leading()[1] > 0 else -d)
+    return sorted(seen, key=lambda p: p.sort_key())
+
+
+def _sweep_matrices():
+    return [_family_row(row["kind"], row["n"], row["m"])[1]
+            for row in verification_table()]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5,
+                                   pytest.param(6, marks=pytest.mark.slow)])
+def test_minors_match_full_enumeration(order):
+    for g in enumerate_connected(order):
+        if g.n != order:
+            continue
+        m = generalized_distance_matrix(g)
+        for i in range(1, g.n + 1):
+            assert minors(m, i) == _reference_minors(m, i)
+
+
+def test_family_minors_match_full_enumeration():
+    for mat in _sweep_matrices():
+        for i in range(1, mat.n + 1):
+            assert minors(mat, i) == _reference_minors(mat, i)
+
+
+def _is_symmetric(rows):
+    return all(rows[u][v] == rows[v][u]
+               for u in range(len(rows)) for v in range(u))
+
+
+def test_matrix_constructors_are_symmetric():
+    graphs = list(enumerate_connected(6)) + [
+        family("complete_tripartite", 2, 2, 3), family("join_split", 2, 2, 3),
+        family("cycle", 8), family("path", 8), family("star", 7)]
+    matrices = [generalized_distance_matrix(g) for g in graphs]
+    matrices += [mdiag_matrix(n, m) for n in range(1, 8) for m in range(5)]
+    matrices += [star_matrix(m) for m in range(1, 8)] + _sweep_matrices()
+    for mat in matrices:
+        assert _is_symmetric(mat.const)

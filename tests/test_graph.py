@@ -3,11 +3,11 @@ from math import comb, factorial
 
 import pytest
 
-from distideal.graph import (PATTERNS, all_pairs_distances, are_isomorphic,
-                             build_graph, canonical_form, contains_induced,
-                             diameter, emit_graph6, enumerate_connected,
-                             family, is_connected, parse_graph6,
-                             transmissions)
+from distideal.graph import (PATTERNS, all_pairs_distances, build_graph,
+                             canonical_form, contains_induced, emit_graph6,
+                             enumerate_connected, family, is_connected,
+                             parse_graph6, transmissions)
+from graph_helpers import are_isomorphic, diameter
 
 
 def test_build_graph_basic():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from distideal.graph import (all_pairs_distances, build_graph, diameter,
+from distideal.graph import (all_pairs_distances, build_graph,
                              enumerate_connected, family, is_connected)
 from distideal.groebner import Ideal, ideals_equal
 from distideal.ideals import (char_poly_distance, det_symbolic,
@@ -12,6 +12,7 @@ from distideal.ideals import (char_poly_distance, det_symbolic,
                               minors, trivial_count_phi)
 from distideal.poly import QQ, ZZ, Polynomial, make_vars
 from distideal.snf import smith_normal_form
+from graph_helpers import diameter
 from poly_helpers import compose
 from reference_det import PolyMatrix, det_bareiss
 
