@@ -106,8 +106,6 @@ def test_corpus_counts(capsys):
     payload = run_json(capsys, "corpus", "--nmax", "5", "--format", "json")
     assert payload["counts"] == {"1": 1, "2": 1, "3": 2, "4": 6, "5": 21}
     assert len(payload["graphs"]) == 31
-    payload = run_json(capsys, "corpus", "--nmax", "2", "--format", "json")
-    assert payload["counts"] == {"1": 1, "2": 1}
 
 
 def test_exit_code_bad_graph6(capsys):
@@ -182,6 +180,19 @@ def test_ideals_five_vertices_without_allow_large(capsys):
     code, out, err = run(capsys, "ideals", "--graph6", "D?{")
     assert code == 0, err
     assert out.strip().splitlines()[-1].startswith("phi = ")
+
+
+def test_jobs_ignores_environment(monkeypatch, capsys):
+    # classification is serial: there is no --jobs, and DISTIDEAL_JOBS is
+    # read nowhere
+    from distideal.cli import build_parser
+    monkeypatch.setenv("DISTIDEAL_JOBS", "x")
+    assert not hasattr(build_parser().parse_args(["classify"]), "jobs")
+    payload = run_json(capsys, "classify", "--nmax", "3", "--ring", "Z",
+                       "--format", "json")
+    assert payload["disagreements"] == []
+    payload = run_json(capsys, "corpus", "--nmax", "2", "--format", "json")
+    assert payload["counts"] == {"1": 1, "2": 1}
 
 
 def test_family_spec_wrong_parameter_count(capsys):
