@@ -173,12 +173,12 @@ def _family_row(kind, n, m):
     raise ValueError("unknown family kind %r" % (kind,))
 
 
-def verify_family(spec, allow_large=False):
+def verify_family(spec):
     """True iff the closed-form generators match the brute-force minors
     ideals for every index of the family instance."""
     within, mat, det, indices, gens = _family_row(spec.kind, spec.n, spec.m)
-    if not within and not allow_large:
-        raise ValueError("bounds exceeded without override")
+    if not within:
+        raise ValueError("family instance exceeds the verification bounds")
     if det is not None and det_symbolic(mat) != det():
         return False
     return all(_ideals_match(mat.vars, minors(mat, k, allow_large=True),

@@ -1,13 +1,14 @@
-"""Groebner bases over QQ (Buchberger) and strong Groebner bases over ZZ
-(S-polynomials plus gcd-polynomials) in grevlex, and the Ideal that owns
-its reduced basis and answers reduction, membership and triviality
-questions with it.
+"""Groebner bases over QQ and strong Groebner bases over ZZ in grevlex,
+computed by one Buchberger loop, and the Ideal that owns its reduced
+basis and answers reduction, membership and triviality questions.
 
-Over ZZ, reduction is Euclidean on coefficients: a term c*m is reduced
-by a basis element g whenever lm(g) | m and c has a nonzero quotient by
-lc(g).  A divisor with a negative leading coefficient is used as -g, so
-the coefficient remainder stays in [0, |lc(g)|).  Completed bases are
-interreduced and rendered deterministically.
+The ring decides only the coefficient rules: normalization, the
+reduction quotient and the S- and gcd-polynomials.  Over ZZ, reduction
+is Euclidean on coefficients: a term c*m is reduced by g whenever
+lm(g) | m and c has a nonzero quotient by lc(g).  A divisor with a
+negative leading coefficient is used as -g, so the coefficient
+remainder stays in [0, |lc(g)|).  Completed bases are interreduced and
+rendered deterministically.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def reduce_poly(f, basis):
         if g.terms:
             # floor division by a negative lc(g) need not shrink the
             # coefficient, and the reduction can cycle
-            if not field and g.leading()[1] < 0:
+            if g.leading()[1] < 0:
                 g = -g
             lts.append(g.leading() + (g.terms.items(),))
     h = dict(f.terms)
@@ -127,7 +128,7 @@ def _minimize_and_interreduce(polys, ring):
         return []
     polys = sorted({_sign_normalize(p) for p in polys},
                    key=lambda p: (monomial_key(p.leading()[0]),
-                                  abs(p.leading()[1]),
+                                  p.leading()[1],
                                   p.sort_key()))
     kept = []
     for p in polys:
@@ -135,7 +136,7 @@ def _minimize_and_interreduce(polys, ring):
         redundant = False
         for q in kept:
             qm, qc = q.leading()
-            if mono_divides(qm, pm) and (ring == QQ or pc % qc == 0):
+            if mono_divides(qm, pm) and pc % qc == 0:
                 redundant = True
                 break
         if not redundant:
@@ -153,14 +154,18 @@ def _minimize_and_interreduce(polys, ring):
 
 
 def buchberger(gens, ring, variables):
-    """Complete a generator list to a (strong, over ZZ) Groebner basis."""
+    """Complete a generator list to a (strong, over ZZ) Groebner basis.
+    Generators of a QQ ideal may be integer polynomials: they are
+    converted only when none of them is a unit."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    for g in gens:
-        if g.is_unit_constant():
-            return _unit_basis(ring, variables)
-    start = sorted({_sign_normalize(g) for g in gens},
+    # over QQ every nonzero constant is a unit
+    is_unit = (Polynomial.is_constant if ring == QQ
+               else Polynomial.is_unit_constant)
+    if any(map(is_unit, gens)):
+        return _unit_basis(ring, variables)
+    start = sorted({_sign_normalize(g.to_ring(ring)) for g in gens},
                    key=lambda p: p.sort_key())
 
     G = []
@@ -175,43 +180,35 @@ def buchberger(gens, ring, variables):
             hm, hc = lts[j]
             L = mono_lcm(gm, hm)
             key = monomial_key(L)
-            if ring == QQ:
-                if L == mono_mul(gm, hm):
-                    continue  # coprime leading monomials
+            # product criterion: skip when the leading monomials and the
+            # leading coefficients are coprime; over QQ every lc is 1
+            if L != mono_mul(gm, hm) or (gc != 1 and gcd(gc, hc) != 1):
                 heapq.heappush(queue, (key, counter, j, idx, "s"))
                 counter += 1
-            else:
-                heapq.heappush(queue, (key, counter, j, idx, "s"))
+            # never over QQ, where every leading coefficient is 1
+            if gc % hc and hc % gc:
+                heapq.heappush(queue, (key, counter, j, idx, "g"))
                 counter += 1
-                if abs(gc) % abs(hc) and abs(hc) % abs(gc):
-                    heapq.heappush(queue, (key, counter, j, idx, "g"))
-                    counter += 1
 
-    def add(p):
-        G.append(p)
-        lts.append(p.leading())
-        push_pairs(len(G) - 1)
+    def candidates():
+        # the queue grows while the loop below consumes this; the pair
+        # functions are module globals, which wrappers may replace
+        yield from start
+        while queue:
+            _, _, i, j, kind = heapq.heappop(queue)
+            pair = s_polynomial if kind == "s" else gcd_polynomial
+            yield pair(G[i], G[j])
 
-    for g in start:
-        h = reduce_poly(g, G)
-        if h.is_zero():
-            continue
-        if h.is_unit_constant():
-            return _unit_basis(ring, variables)
-        add(_sign_normalize(h))
-
-    while queue:
-        _, _, i, j, kind = heapq.heappop(queue)
-        if kind == "s":
-            p = s_polynomial(G[i], G[j])
-        else:
-            p = gcd_polynomial(G[i], G[j])
+    for p in candidates():
         h = reduce_poly(p, G)
         if h.is_zero():
             continue
-        if h.is_unit_constant():
+        if is_unit(h):
             return _unit_basis(ring, variables)
-        add(_sign_normalize(h))
+        h = _sign_normalize(h)
+        G.append(h)
+        lts.append(h.leading())
+        push_pairs(len(G) - 1)
 
     return _minimize_and_interreduce(G, ring)
 
@@ -219,7 +216,9 @@ def buchberger(gens, ring, variables):
 @dataclass
 class Ideal:
     """The ideal of ring[vars] generated by ``gens``, which owns its
-    reduced (strong, over ZZ) Groebner basis, computed on first use."""
+    reduced (strong, over ZZ) Groebner basis, computed on first use.
+    The generators are kept as given: integer polynomials may generate
+    a QQ ideal."""
 
     ring: str
     vars: tuple
@@ -229,14 +228,9 @@ class Ideal:
 
     def __post_init__(self):
         self.vars = tuple(self.vars)
-        gens = []
-        for g in self.gens:
-            if g.vars != self.vars:
-                raise ValueError("generator over wrong registry")
-            g = g.to_ring(self.ring)
-            if not g.is_zero():
-                gens.append(g)
-        self.gens = gens
+        if any(g.vars != self.vars for g in self.gens):
+            raise ValueError("generator over wrong registry")
+        self.gens = [g for g in self.gens if not g.is_zero()]
 
     @property
     def basis(self):

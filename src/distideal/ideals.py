@@ -113,8 +113,8 @@ class DistanceIdealResult:
 
 def _chain(g, indices, ring, allow_large):
     """The distance ideals I_i of g for i in indices, all from one matrix
-    and its minor memo.  Minors are expanded over ZZ; Ideal converts them
-    to ``ring``."""
+    and its minor memo.  Minors are expanded over ZZ and stay integer
+    polynomials; buchberger converts them to ``ring`` when it runs."""
     m = generalized_distance_matrix(g)
     for i in indices:
         ideal = Ideal(ring, m.vars, minors(m, i, allow_large=allow_large))

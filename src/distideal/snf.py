@@ -23,10 +23,6 @@ class SNFResult:
     U: tuple = None         # row transform, U * A * V = diag(factors)
     V: tuple = None
 
-    @property
-    def rank(self):
-        return sum(1 for f in self.factors if f)
-
     def delta(self, i):
         """gcd of i-minors as the product of the first i factors."""
         p = 1

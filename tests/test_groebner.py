@@ -1,9 +1,14 @@
+from math import gcd
+
 import pytest
 
+from distideal import groebner
+from distideal.graph import enumerate_connected
 from distideal.groebner import (Ideal, buchberger,
                                 gcd_polynomial, ideals_equal, reduce_poly,
                                 s_polynomial)
-from distideal.poly import QQ, ZZ, Polynomial, make_vars
+from distideal.ideals import generalized_distance_matrix, minors
+from distideal.poly import QQ, ZZ, Polynomial, make_vars, mono_lcm, mono_mul
 
 V = make_vars(2)
 
@@ -151,3 +156,43 @@ def test_zz_basis_positive_leading_coefficients():
     gens = [-2 * x() + 4, -3 * y()]
     basis = buchberger(gens, ZZ, V)
     assert all(p.leading()[1] > 0 for p in basis)
+
+
+def test_qq_ideal_keeps_integer_generators(monkeypatch):
+    # a unit generator settles a QQ ideal before anything is converted
+    calls = []
+    to_ring = Polynomial.to_ring
+
+    def counted(self, ring):
+        calls.append(ring)
+        return to_ring(self, ring)
+
+    monkeypatch.setattr(Polynomial, "to_ring", counted)
+    ideal = Ideal(QQ, V, [Polynomial.const(ZZ, V, 3), x() - 1])
+    assert [g.render() for g in ideal.gens] == ["3", "x0 - 1"]
+    assert ideal.is_trivial()
+    assert calls == []
+
+
+def test_no_s_pair_with_coprime_leading_terms(monkeypatch):
+    # the product criterion: over ZZ the leading coefficients must be
+    # coprime too, over QQ they are all 1
+    s_polynomial = groebner.s_polynomial
+    formed = []
+
+    def checked(f, g):
+        (fm, fc), (gm, gc) = f.leading(), g.leading()
+        assert (mono_lcm(fm, gm) != mono_mul(fm, gm)
+                or (f.ring == ZZ and gcd(fc, gc) != 1)), (f, g)
+        formed.append(1)
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(groebner, "SELF_CHECK", False)
+    monkeypatch.setattr(groebner, "s_polynomial", checked)
+    for g in enumerate_connected(5):
+        m = generalized_distance_matrix(g)
+        for i in range(1, g.n + 1):
+            gens = minors(m, i)
+            for ring in (ZZ, QQ):
+                Ideal(ring, m.vars, gens).basis
+    assert formed

@@ -1,7 +1,7 @@
 """Differential tests of the Groebner engine against the reference
 oracle in ``reference_groebner`` (the engine before the lean polynomial
-core): identical reduced bases on graph ideals, identical normal forms
-on random input."""
+core): identical reduced bases on graph ideals and on random generator
+lists, identical normal forms on random input."""
 
 import random
 
@@ -82,3 +82,38 @@ def test_normal_forms_match_reference(ring):
         f = _random_poly(rng, ring) * _random_poly(rng, ring)
         assert reduce_poly(f, basis) == ref.reduce_poly(
             f, [_positive(p) for p in basis])
+
+
+# Leading coefficients that share factors, so that the coefficient half
+# of the product criterion is exercised, and none so large that a case
+# runs long.
+COEFFS = (1, -1, 2, -2, 3, 4, 6, 9, 12)
+
+
+def _random_gens(rng):
+    """Up to three integer generators of up to three squarefree terms:
+    with four generators one case in about 3000 runs for seconds."""
+    return [Polynomial(ZZ, V, {tuple(rng.randint(0, 1) for _ in V):
+                               rng.choice(COEFFS)
+                               for _ in range(rng.randint(1, 3))})
+            for _ in range(rng.randint(1, 3))]
+
+
+def _assert_random_bases_match(seed, count):
+    # the engine gets the integer generators, as a QQ Ideal passes them
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = _random_gens(rng)
+        for ring in (ZZ, QQ):
+            new = buchberger(gens, ring, V)
+            old = ref.buchberger([g.to_ring(ring) for g in gens], ring, V)
+            assert _render(new) == _render(old), (ring, _render(gens))
+
+
+def test_random_bases_match_reference():
+    _assert_random_bases_match(7, 300)
+
+
+@pytest.mark.slow
+def test_random_bases_match_reference_many():
+    _assert_random_bases_match(8, 3000)
