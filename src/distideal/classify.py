@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import (PATTERNS, contains_induced, emit_graph6,
+from .graph import (MAX_ENUM_N, PATTERNS, contains_induced, emit_graph6,
                     enumerate_connected, is_connected)
 from .ideals import trivial_count_phi
 from .poly import QQ, ZZ
@@ -154,7 +154,7 @@ class CorpusReport:
 
 def corpus_report(n_max, ring):
     """Run all three deciders over the connected corpus and compare."""
-    if not (1 <= n_max <= 7):
+    if not (1 <= n_max <= MAX_ENUM_N):
         raise ValueError("n_max out of range")
     passing = 0
     per_size = {}

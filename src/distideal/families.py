@@ -152,11 +152,6 @@ class FamilySpec:
     m: int = 0
 
 
-def _ideals_match(variables, brute, closed):
-    return ideals_equal(Ideal(ZZ, variables, brute),
-                        Ideal(ZZ, variables, closed))
-
-
 def _family_row(kind, n, m):
     """(within the desk-scale bounds, matrix, closed-form determinant or
     None, indices, closed-form generators of index k) of one instance."""
@@ -181,18 +176,17 @@ def verify_family(spec):
         raise ValueError("family instance exceeds the verification bounds")
     if det is not None and det_symbolic(mat) != det():
         return False
-    return all(_ideals_match(mat.vars, minors(mat, k, allow_large=True),
-                             gens(k))
-               for k in indices)
+    return all(ideals_equal(
+        Ideal(ZZ, mat.vars, minors(mat, k, allow_large=True)),
+        Ideal(ZZ, mat.vars, gens(k))) for k in indices)
 
 
-def verification_table(specs=None):
+def verification_table():
     """Pass/fail rows for the default desk-scale verification sweep."""
-    if specs is None:
-        specs = ([FamilySpec("complete", n=n) for n in range(1, 6)]
-                 + [FamilySpec("mdiag", n=n, m=m)
-                    for n in range(2, 5) for m in range(0, 4)]
-                 + [FamilySpec("star", m=m) for m in range(1, 5)])
+    specs = ([FamilySpec("complete", n=n) for n in range(1, 6)]
+             + [FamilySpec("mdiag", n=n, m=m)
+                for n in range(2, 5) for m in range(0, 4)]
+             + [FamilySpec("star", m=m) for m in range(1, 5)])
     rows = []
     for spec in specs:
         ok = verify_family(spec)

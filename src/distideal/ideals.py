@@ -144,13 +144,16 @@ def trivial_count_phi(g, ring=ZZ, max_i=None):
 
 
 def evaluate_ideal(g, i, point):
-    """gcd of all i-minors of D(G, point) as a nonnegative integer."""
+    """gcd of all i-minors of D(G, point) as a nonnegative integer: the
+    product of the first i invariant factors of its Smith normal form."""
     if len(point) != g.n:
         raise ValueError("evaluation point has wrong length")
+    if not (1 <= i <= g.n):
+        raise ValueError("minor size out of range")
     dm = all_pairs_distances(g)
     M = [[point[u] if u == v else dm[u][v] for v in range(g.n)]
          for u in range(g.n)]
-    return snf.minors_gcd(M, i)
+    return snf.smith_normal_form(M).delta(i)
 
 
 # ---------------------------------------------------------------------------

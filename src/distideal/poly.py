@@ -17,8 +17,8 @@ ZZ = "ZZ"
 QQ = "QQ"
 
 
-def make_vars(n, prefix="x"):
-    return tuple("%s%d" % (prefix, i) for i in range(n))
+def make_vars(n):
+    return tuple("x%d" % i for i in range(n))
 
 
 # ---------------------------------------------------------------------------

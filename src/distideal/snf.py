@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import index
 
 from .graph import all_pairs_distances, transmissions
 
@@ -31,43 +32,22 @@ class SNFResult:
         return p
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(matrix, with_transforms=False):
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    M = [[int(x) for x in row] for row in matrix]
+    M = [[index(x) for x in row] for row in matrix]
     if any(len(row) != cols for row in M):
         raise ValueError("matrix is not rectangular")
-    U = _identity(rows) if with_transforms else None
-    V = _identity(cols) if with_transforms else None
-    # row operations act on M and U, column operations on M and V
-    row_mats = [M, U] if with_transforms else [M]
-    col_mats = [M, V] if with_transforms else [M]
-
-    def swap_rows(i, j):
-        for A in row_mats:
-            A[i], A[j] = A[j], A[i]
-
-    def swap_cols(i, j):
-        for A in col_mats:
-            for row in A:
-                row[i], row[j] = row[j], row[i]
+    if with_transforms:
+        # the bordered matrix [[A, I], [I, 0]]: row operations carry U in
+        # the right block and column operations carry V in the bottom one
+        M = ([row + [int(i == j) for j in range(rows)]
+              for i, row in enumerate(M)]
+             + [[int(i == j) for j in range(cols)] + [0] * rows
+                for i in range(cols)])
 
     def add_row(dst, src, q):
-        for A in row_mats:
-            A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-
-    def add_col(dst, src, q):
-        for A in col_mats:
-            for row in A:
-                row[dst] += q * row[src]
-
-    def negate_row(i):
-        for A in row_mats:
-            A[i] = [-a for a in A[i]]
+        M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
 
     r = min(rows, cols)
     for k in range(r):
@@ -81,11 +61,12 @@ def smith_normal_form(matrix, with_transforms=False):
                         pivot = (i, j)
             if pivot is None:
                 break
-            if pivot != (k, k):
-                if pivot[0] != k:
-                    swap_rows(k, pivot[0])
-                if pivot[1] != k:
-                    swap_cols(k, pivot[1])
+            pi, pj = pivot
+            if pi != k:
+                M[k], M[pi] = M[pi], M[k]
+            if pj != k:
+                for row in M:
+                    row[k], row[pj] = row[pj], row[k]
             p = M[k][k]
             dirty = False
             for i in range(k + 1, rows):
@@ -97,7 +78,8 @@ def smith_normal_form(matrix, with_transforms=False):
             for j in range(k + 1, cols):
                 if M[k][j]:
                     q = M[k][j] // p
-                    add_col(j, k, -q)
+                    for row in M:
+                        row[j] -= q * row[k]
                     if M[k][j]:
                         dirty = True
             if dirty:
@@ -115,16 +97,16 @@ def smith_normal_form(matrix, with_transforms=False):
                 break
             add_row(k, bad, 1)
         if M[k][k] < 0:
-            negate_row(k)
+            M[k] = [-a for a in M[k]]
         if M[k][k] == 0:
             break
 
     factors = tuple(M[i][i] for i in range(r))
-    return SNFResult(
-        factors=factors,
-        U=tuple(tuple(row) for row in U) if U else None,
-        V=tuple(tuple(row) for row in V) if V else None,
-    )
+    if not with_transforms:
+        return SNFResult(factors)
+    return SNFResult(factors,
+                     U=tuple(tuple(row[cols:]) for row in M[:rows]),
+                     V=tuple(tuple(row[:cols]) for row in M[rows:]))
 
 
 class LaplaceMemo:
@@ -159,14 +141,6 @@ class LaplaceMemo:
             self.memo[key] = total
         return total
 
-    def minors(self, i):
-        """Every i x i minor, rows then columns in lexicographic order."""
-        rows = len(self.rows)
-        cols = len(self.rows[0]) if rows else 0
-        for rsub in combinations(range(rows), i):
-            for csub in combinations(range(cols), i):
-                yield self.det(rsub, csub)
-
 
 def minors_gcd(matrix, i):
     """gcd of all i x i minors (nonnegative, 0 if all vanish).
@@ -178,9 +152,11 @@ def minors_gcd(matrix, i):
     cols = len(matrix[0]) if rows else 0
     if not (1 <= i <= min(rows, cols)):
         raise ValueError("minor size out of range")
+    det = LaplaceMemo(matrix).det
     g = 0
-    for d in LaplaceMemo(matrix).minors(i):
-        g = gcd(g, d)
+    for rsub in combinations(range(rows), i):
+        for csub in combinations(range(cols), i):
+            g = gcd(g, det(rsub, csub))
     return g
 
 

@@ -1,15 +1,17 @@
 """Differential tests of the Groebner engine against the reference
 oracle in ``reference_groebner`` (the engine before the lean polynomial
 core): identical reduced bases on graph ideals and on random generator
-lists, identical normal forms on random input."""
+lists, identical normal forms on random input; and of ``ideals_equal``,
+which compares reduced bases, against mutual containment."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 import reference_groebner as ref
 from distideal.graph import enumerate_connected, family
-from distideal.groebner import buchberger, reduce_poly
+from distideal.groebner import Ideal, buchberger, ideals_equal, reduce_poly
 from distideal.ideals import generalized_distance_matrix, minors
 from distideal.poly import QQ, ZZ, Polynomial, make_vars
 
@@ -117,3 +119,53 @@ def test_random_bases_match_reference():
 @pytest.mark.slow
 def test_random_bases_match_reference_many():
     _assert_random_bases_match(8, 3000)
+
+
+def _contained_both_ways(a, b):
+    """The definition of ideal equality that basis comparison replaced:
+    each ideal contains the other's generators."""
+    return (all(a.contains(g) for g in b.gens)
+            and all(b.contains(g) for g in a.gens))
+
+
+def _same_ideal_other_gens(rng, gens):
+    """Generators of the ideal of ``gens``, shuffled, with one added to a
+    monomial multiple of another and a combination of two appended."""
+    gens = rng.sample(gens, len(gens))
+    mono = Polynomial(ZZ, V, {tuple(rng.randint(0, 1) for _ in V):
+                              rng.choice(COEFFS)})
+    if len(gens) > 1:
+        gens[0] = gens[0] + mono * gens[1]
+    return gens + [mono * gens[0] + gens[-1]]
+
+
+def test_ideals_equal_matches_containment_random():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(100):
+        gens = _random_gens(rng)
+        others = [_same_ideal_other_gens(rng, gens), gens[1:] or gens,
+                  [2 * gens[0]] + gens[1:], _random_gens(rng)]
+        for ring in (ZZ, QQ):
+            a = Ideal(ring, V, gens)
+            for other in others:
+                b = Ideal(ring, V, other)
+                equal = ideals_equal(a, b)
+                assert equal == _contained_both_ways(a, b), (
+                    ring, _render(gens), _render(other))
+                outcomes.add((ring, equal))
+    assert outcomes == {(ZZ, True), (ZZ, False), (QQ, True), (QQ, False)}
+
+
+def test_ideals_equal_matches_containment_chains():
+    outcomes = set()
+    for g in enumerate_connected(5):
+        m = generalized_distance_matrix(g)
+        for ring in (ZZ, QQ):
+            chain = [Ideal(ring, m.vars, minors(m, i))
+                     for i in range(1, g.n + 1)]
+            for a, b in combinations(chain, 2):
+                equal = ideals_equal(a, b)
+                assert equal == _contained_both_ways(a, b), (g.edges, ring)
+                outcomes.add(equal)
+    assert outcomes == {True, False}

@@ -11,7 +11,7 @@ from distideal.ideals import (char_poly_distance, det_symbolic,
                               generalized_distance_matrix, ideal_report,
                               minors, trivial_count_phi)
 from distideal.poly import QQ, ZZ, Polynomial, make_vars
-from distideal.snf import smith_normal_form
+from distideal.snf import minors_gcd, smith_normal_form
 from graph_helpers import diameter
 from poly_helpers import compose
 from reference_det import PolyMatrix, det_bareiss
@@ -159,6 +159,41 @@ def test_evaluate_ideal_values():
 def test_evaluate_ideal_bad_point():
     with pytest.raises(ValueError):
         evaluate_ideal(family("complete", 3), 1, [0, 0])
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            evaluate_ideal(family("complete", 3), i, [0, 0, 0])
+    with pytest.raises(TypeError):
+        evaluate_ideal(family("complete", 2), 2, [0.5, 0.5])
+
+
+def _assert_evaluation_matches_minors_gcd(graphs, seed):
+    """evaluate_ideal reads Δ_i off the Smith normal form; minors_gcd
+    expands every i-minor, so it is an independent oracle."""
+    rng = random.Random(seed)
+    for g in graphs:
+        dm = all_pairs_distances(g)
+        points = [[0] * g.n]
+        for _ in range(3):
+            point = [rng.randint(-4, 4) for _ in range(g.n)]
+            point[rng.randrange(g.n)] = 0
+            points.append(point)
+        for point in points:
+            M = [[point[u] if u == v else dm[u][v] for v in range(g.n)]
+                 for u in range(g.n)]
+            for i in range(1, g.n + 1):
+                assert evaluate_ideal(g, i, point) == minors_gcd(M, i), (
+                    g.edges, point, i)
+
+
+def test_evaluate_ideal_matches_minors_gcd():
+    _assert_evaluation_matches_minors_gcd(enumerate_connected(5), 23)
+
+
+@pytest.mark.slow
+def test_evaluate_ideal_matches_minors_gcd_six_vertices():
+    graphs = [g for g in enumerate_connected(6) if g.n == 6]
+    assert len(graphs) == 112
+    _assert_evaluation_matches_minors_gcd(graphs, 29)
 
 
 def test_evaluation_coherence_random_points():

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from distideal.graph import build_graph, enumerate_connected, family
-from distideal.snf import (distance_laplacian_matrix, distance_laplacian_snf,
-                           distance_snf, minors_gcd, phi_unit_count,
-                           smith_normal_form)
+from distideal.snf import (SNFResult, distance_laplacian_matrix,
+                           distance_laplacian_snf, distance_snf, minors_gcd,
+                           phi_unit_count, smith_normal_form)
 
 
 def test_rank_deficient():
@@ -26,6 +26,12 @@ def test_diag_coprime():
 def test_rectangular():
     res = smith_normal_form([[2, 4, 6]])
     assert res.factors == (2,)
+
+
+def test_empty_transforms_are_empty_tuples():
+    assert smith_normal_form([], with_transforms=True) == SNFResult((), (), ())
+    assert (smith_normal_form([[]], with_transforms=True)
+            == SNFResult((), ((1,),), ()))
 
 
 def test_nonrectangular_rejected():
