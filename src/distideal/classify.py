@@ -9,8 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import (MAX_ENUM_N, PATTERNS, contains_induced, emit_graph6,
-                    enumerate_connected, is_connected)
+from .graph import (MAX_ENUM_N, PATTERNS, all_pairs_distances,
+                    contains_induced, emit_graph6, enumerate_connected,
+                    is_connected)
 from .ideals import trivial_count_phi
 from .poly import QQ, ZZ
 
@@ -26,38 +27,19 @@ def is_complete(g):
 
 
 def is_complete_bipartite(g):
-    """Connected induced subgraphs of K_{m,n} are exactly these."""
-    if g.n == 1:
-        return True
+    """Connected induced subgraphs of K_{m,n} are exactly these.  The
+    sides are the parity classes of the distances from vertex 0."""
     if not is_connected(g):
         return False
-    adj = g.adjacency()
-    color = {0: 0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in color:
-                color[v] = 1 - color[u]
-                stack.append(v)
-            elif color[v] == color[u]:
-                return False
-    left = [v for v in range(g.n) if color[v] == 0]
-    right = [v for v in range(g.n) if color[v] == 1]
-    return all(g.has_edge(u, v) for u in left for v in right)
+    side = [d % 2 for d in all_pairs_distances(g)[0]]
+    return all(g.has_edge(u, v) == (side[u] != side[v])
+               for u, v in combinations(range(g.n), 2))
 
 
 def is_star(g):
     """K_{1,k} for some k >= 0 (a single vertex counts)."""
-    if g.n == 1:
-        return True
-    adj = g.adjacency()
-    centers = [v for v in range(g.n) if len(adj[v]) == g.n - 1]
-    if not centers:
-        return False
-    c = centers[0]
-    others = [v for v in range(g.n) if v != c]
-    return all(not g.has_edge(u, v) for u, v in combinations(others, 2))
+    return is_complete_bipartite(g) and (
+        g.n == 1 or any(len(a) == g.n - 1 for a in g.adjacency()))
 
 
 # ---------------------------------------------------------------------------

@@ -220,14 +220,15 @@ def cmd_families(args):
 
 
 def cmd_corpus(args):
-    graphs = list(enumerate_connected(args.nmax))
     counts = {}
-    for g in graphs:
+    graph6s = []
+    for g in enumerate_connected(args.nmax):
         counts[g.n] = counts.get(g.n, 0) + 1
+        graph6s.append(emit_graph6(g))
     payload = {"schema": "v1", "kind": "corpus", "n_max": args.nmax,
                "counts": {str(k): v for k, v in sorted(counts.items())},
-               "graphs": [emit_graph6(g) for g in graphs]}
-    text = "\n".join(emit_graph6(g) for g in graphs)
+               "graphs": graph6s}
+    text = "\n".join(graph6s)
     _emit(args, payload, text)
     return 0
 

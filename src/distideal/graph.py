@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 MAX_ENUM_N = 7
 
@@ -37,11 +37,7 @@ class Graph:
     def induced(self, vertices):
         """Induced subgraph on the given vertices, relabeled 0..k-1."""
         vertices = sorted(vertices)
-        pos = {v: i for i, v in enumerate(vertices)}
-        edges = [(pos[u], pos[v]) for u, v in
-                 ((min(e), max(e)) for e in self.edges)
-                 if u in pos and v in pos]
-        return build_graph(len(vertices), edges)
+        return _from_code(len(vertices), _code(self.adjacency(), vertices))
 
 
 def build_graph(n, edges):
@@ -55,11 +51,6 @@ def build_graph(n, edges):
             raise ValueError("endpoint out of range in (%d,%d)" % (u, v))
         es.add(frozenset((u, v)))
     return Graph(n, frozenset(es))
-
-
-def edge_list(g):
-    """Sorted (u, v) pairs with u < v."""
-    return sorted((min(e), max(e)) for e in g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +129,34 @@ PATTERNS = {
 
 
 # ---------------------------------------------------------------------------
+# adjacency codes: the upper triangle of the adjacency matrix in graph6
+# column order, (0,1), (0,2), (1,2), (0,3), ..., first pair most significant
+
+def _code(adj, order):
+    """Code of the subgraph induced on the vertices listed in ``order``,
+    the i-th of them becoming vertex i, read off the adjacency sets."""
+    bits = 0
+    placed = []
+    for v in order:
+        row = adj[v]
+        for u in placed:
+            bits = (bits << 1) | (u in row)
+        placed.append(v)
+    return bits
+
+
+def _from_code(n, bits):
+    k = n * (n - 1) // 2
+    edges = []
+    for j in range(n):
+        for i in range(j):
+            k -= 1
+            if (bits >> k) & 1:
+                edges.append((i, j))
+    return build_graph(n, edges)
+
+
+# ---------------------------------------------------------------------------
 # graph6 (McKay encoding), n <= 62
 
 def parse_graph6(text):
@@ -156,76 +175,54 @@ def parse_graph6(text):
     need = (nbits + 5) // 6
     if len(data) - 1 != need:
         raise ValueError("graph6 length mismatch for n=%d" % n)
-    bits = []
+    bits = 0
     for b in data[1:]:
-        bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+        bits = (bits << 6) | b
+    pad = 6 * need - nbits
+    if bits & ((1 << pad) - 1):
         raise ValueError("nonzero trailing bits in graph6 string")
-    edges = []
-    k = 0
-    for j in range(n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return build_graph(n, edges)
+    return _from_code(n, bits >> pad)
 
 
 def emit_graph6(g):
     n = g.n
     if n > 62:
         raise ValueError("graph6 with n > 62 unsupported")
-    bits = []
-    for j in range(n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        b = 0
-        for bit in bits[k:k + 6]:
-            b = (b << 1) | bit
-        out.append(chr(b + 63))
-    return "".join(out)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    bits = _code(g.adjacency(), range(n)) << (6 * need - nbits)
+    return chr(n + 63) + "".join(chr(((bits >> 6 * k) & 63) + 63)
+                                 for k in reversed(range(need)))
 
 
 # ---------------------------------------------------------------------------
 # distances
 
-def is_connected(g):
-    if g.n == 1:
-        return True
-    adj = g.adjacency()
-    seen = {0}
-    queue = deque([0])
+def _distances_from(adj, s):
+    """BFS distances from s; -1 for the vertices s cannot reach."""
+    dist = [-1] * len(adj)
+    dist[s] = 0
+    queue = deque([s])
     while queue:
         u = queue.popleft()
         for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
                 queue.append(v)
-    return len(seen) == g.n
+    return dist
+
+
+def is_connected(g):
+    return -1 not in _distances_from(g.adjacency(), 0)
 
 
 def all_pairs_distances(g):
     """BFS distance matrix as a tuple of tuples; requires connectivity."""
     adj = g.adjacency()
-    rows = []
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if any(d < 0 for d in dist):
-            raise ValueError("distance matrix undefined: graph disconnected")
-        rows.append(tuple(dist))
-    return tuple(rows)
+    rows = tuple(tuple(_distances_from(adj, s)) for s in range(g.n))
+    if -1 in rows[0]:
+        raise ValueError("distance matrix undefined: graph disconnected")
+    return rows
 
 
 def transmissions(g):
@@ -236,49 +233,21 @@ def transmissions(g):
 # ---------------------------------------------------------------------------
 # canonical form (exhaustive, n <= 7 scale)
 
-def _perm_bits(adjmat, perm):
-    bits = 0
-    for j in range(len(perm)):
-        pj = perm[j]
-        row = adjmat[pj]
-        for i in range(j):
-            bits = (bits << 1) | row[perm[i]]
-    return bits
+def _canonical_code(adj, vertices):
+    """Least code of the subgraph induced on ``vertices`` over the
+    orderings that list them by decreasing degree within that subgraph."""
+    inside = set(vertices)
+    classes = {}
+    for v in vertices:
+        classes.setdefault(len(adj[v] & inside), []).append(v)
+    groups = [permutations(classes[d]) for d in sorted(classes, reverse=True)]
+    return min(_code(adj, chain.from_iterable(parts))
+               for parts in product(*groups))
 
 
 def canonical_form(g):
     """(n, min-adjacency bitstring) over degree-respecting relabelings."""
-    n = g.n
-    adjset = g.adjacency()
-    adjmat = [[1 if v in adjset[u] else 0 for v in range(n)]
-              for u in range(n)]
-    degs = [len(a) for a in adjset]
-    # vertices grouped by decreasing degree; the minimum is only taken
-    # over permutations consistent with that invariant ordering
-    classes = {}
-    for v in range(n):
-        classes.setdefault(degs[v], []).append(v)
-    groups = [classes[d] for d in sorted(classes, reverse=True)]
-    best = None
-    for parts in product(*(permutations(grp) for grp in groups)):
-        perm = [v for part in parts for v in part]
-        bits = _perm_bits(adjmat, perm)
-        if best is None or bits < best:
-            best = bits
-    return (n, best)
-
-
-def from_canonical_form(form):
-    n, bits = form
-    nbits = n * (n - 1) // 2
-    edges = []
-    k = nbits - 1
-    for j in range(n):
-        for i in range(j):
-            if (bits >> k) & 1:
-                edges.append((i, j))
-            k -= 1
-    return build_graph(n, edges)
+    return (g.n, _canonical_code(g.adjacency(), range(g.n)))
 
 
 def contains_induced(g, pattern):
@@ -288,14 +257,13 @@ def contains_induced(g, pattern):
     k = pattern.n
     if k > g.n:
         return False
-    pedges = len(pattern.edges)
     pdegs = pattern.degree_sequence()
-    pform = canonical_form(pattern)
+    pcode = canonical_form(pattern)[1]
+    adj = g.adjacency()
     for subset in combinations(range(g.n), k):
-        sub = g.induced(subset)
-        if len(sub.edges) != pedges or sub.degree_sequence() != pdegs:
-            continue
-        if canonical_form(sub) == pform:
+        inside = set(subset)
+        degs = sorted((len(adj[v] & inside) for v in subset), reverse=True)
+        if tuple(degs) == pdegs and _canonical_code(adj, subset) == pcode:
             return True
     return False
 
@@ -306,21 +274,24 @@ def contains_induced(g, pattern):
 def enumerate_connected(n_max):
     """One representative per isomorphism class of connected graphs on
     1..n_max vertices, built by single-vertex augmentation and
-    canonical-form deduplication."""
+    canonical-code deduplication."""
     if not (1 <= n_max <= MAX_ENUM_N):
         raise ValueError("n_max out of supported range 1..%d" % MAX_ENUM_N)
     level = [build_graph(1, [])]
     yield level[0]
     for n in range(2, n_max + 1):
-        forms = set()
+        new = n - 1
+        codes = set()
         for g in level:
-            base = edge_list(g)
-            for mask in range(1, 1 << (n - 1)):
-                edges = base + [(v, n - 1) for v in range(n - 1)
-                                if (mask >> v) & 1]
-                forms.add(canonical_form(build_graph(n, edges)))
-        # a graph built from its canonical form has that form again, so
-        # the graphs come out sorted by (edge count, canonical form)
-        level = [from_canonical_form(form) for form in
-                 sorted(forms, key=lambda f: (f[1].bit_count(), f[1]))]
+            adj = g.adjacency()
+            for mask in range(1, 1 << new):
+                nbrs = {v for v in range(new) if (mask >> v) & 1}
+                ext = [a | {new} if v in nbrs else a
+                       for v, a in enumerate(adj)]
+                ext.append(nbrs)
+                codes.add(_canonical_code(ext, range(n)))
+        # a graph decoded from its canonical code has that code again, so
+        # the graphs come out sorted by (edge count, canonical code)
+        level = [_from_code(n, code) for code in
+                 sorted(codes, key=lambda c: (c.bit_count(), c))]
         yield from level

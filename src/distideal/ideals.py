@@ -10,7 +10,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import snf
-from .graph import all_pairs_distances
+from .graph import all_pairs_distances, emit_graph6
 from .groebner import Ideal
 from .poly import ZZ, Polynomial, make_vars
 
@@ -209,7 +209,6 @@ def ideal_report(g, ring=ZZ, indices=None, allow_large=False):
     requested index and at least to the first nontrivial ideal, which
     fixes Φ.
     """
-    from .graph import emit_graph6
     indices = list(indices) if indices is not None else list(range(1, g.n + 1))
     if not all(1 <= i <= g.n for i in indices):
         raise ValueError("ideal index out of range")

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import gcd
 from operator import index
 
-from .graph import all_pairs_distances, transmissions
+from .graph import all_pairs_distances
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,8 @@ def distance_matrix(g):
 def distance_laplacian_matrix(g):
     """diag(transmissions) - D(G); every row sums to zero."""
     dm = all_pairs_distances(g)
-    tr = transmissions(g)
-    n = g.n
-    return [[tr[u] if u == v else -dm[u][v] for v in range(n)]
-            for u in range(n)]
+    return [[sum(row) if u == v else -d for v, d in enumerate(row)]
+            for u, row in enumerate(dm)]
 
 
 def distance_snf(g, with_transforms=False):
