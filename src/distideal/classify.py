@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import (MAX_ENUM_N, PATTERNS, all_pairs_distances,
-                    contains_induced, emit_graph6, enumerate_connected,
-                    is_connected)
+from .graph import (MAX_ENUM_N, PATTERNS, contains_induced, distances_from,
+                    emit_graph6, enumerate_connected, is_connected)
 from .ideals import trivial_count_phi
 from .poly import QQ, ZZ
 
@@ -27,19 +26,21 @@ def is_complete(g):
 
 
 def is_complete_bipartite(g):
-    """Connected induced subgraphs of K_{m,n} are exactly these.  The
-    sides are the parity classes of the distances from vertex 0."""
-    if not is_connected(g):
+    """Connected induced subgraphs of K_{m,n} are exactly these.  One BFS
+    from vertex 0 gives connectivity, and the sides are the parity
+    classes of its distances."""
+    adj = g.adjacency()
+    dist = distances_from(adj, 0)
+    if -1 in dist:
         return False
-    side = [d % 2 for d in all_pairs_distances(g)[0]]
-    return all(g.has_edge(u, v) == (side[u] != side[v])
+    return all((v in adj[u]) == ((dist[u] + dist[v]) % 2 == 1)
                for u, v in combinations(range(g.n), 2))
 
 
 def is_star(g):
     """K_{1,k} for some k >= 0 (a single vertex counts)."""
-    return is_complete_bipartite(g) and (
-        g.n == 1 or any(len(a) == g.n - 1 for a in g.adjacency()))
+    return ((g.n == 1 or any(len(a) == g.n - 1 for a in g.adjacency()))
+            and is_complete_bipartite(g))
 
 
 # ---------------------------------------------------------------------------

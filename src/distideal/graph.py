@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
 MAX_ENUM_N = 7
@@ -198,8 +199,9 @@ def emit_graph6(g):
 # ---------------------------------------------------------------------------
 # distances
 
-def _distances_from(adj, s):
-    """BFS distances from s; -1 for the vertices s cannot reach."""
+def distances_from(adj, s):
+    """BFS distances from s over the adjacency sets ``adj`` (as returned
+    by ``Graph.adjacency``); -1 for the vertices s cannot reach."""
     dist = [-1] * len(adj)
     dist[s] = 0
     queue = deque([s])
@@ -213,13 +215,13 @@ def _distances_from(adj, s):
 
 
 def is_connected(g):
-    return -1 not in _distances_from(g.adjacency(), 0)
+    return -1 not in distances_from(g.adjacency(), 0)
 
 
 def all_pairs_distances(g):
     """BFS distance matrix as a tuple of tuples; requires connectivity."""
     adj = g.adjacency()
-    rows = tuple(tuple(_distances_from(adj, s)) for s in range(g.n))
+    rows = tuple(tuple(distances_from(adj, s)) for s in range(g.n))
     if -1 in rows[0]:
         raise ValueError("distance matrix undefined: graph disconnected")
     return rows
@@ -233,21 +235,41 @@ def transmissions(g):
 # ---------------------------------------------------------------------------
 # canonical form (exhaustive, n <= 7 scale)
 
-def _canonical_code(adj, vertices):
-    """Least code of the subgraph induced on ``vertices`` over the
-    orderings that list them by decreasing degree within that subgraph."""
+def _degree_classes(adj, vertices):
+    """{degree within the subgraph induced on vertices: its vertices}."""
     inside = set(vertices)
     classes = {}
     for v in vertices:
         classes.setdefault(len(adj[v] & inside), []).append(v)
+    return classes
+
+
+def _least_code(adj, classes):
+    """Least code over the orderings that list the classes by decreasing
+    degree, each class in any order."""
     groups = [permutations(classes[d]) for d in sorted(classes, reverse=True)]
     return min(_code(adj, chain.from_iterable(parts))
                for parts in product(*groups))
 
 
+def _canonical_code(adj, vertices):
+    """Least code of the subgraph induced on ``vertices`` over the
+    orderings that list them by decreasing degree within that subgraph."""
+    return _least_code(adj, _degree_classes(adj, vertices))
+
+
 def canonical_form(g):
     """(n, min-adjacency bitstring) over degree-respecting relabelings."""
     return (g.n, _canonical_code(g.adjacency(), range(g.n)))
+
+
+@lru_cache(maxsize=64)
+def _pattern_key(pattern):
+    """(class sizes by degree, canonical code) of a pattern graph."""
+    adj = pattern.adjacency()
+    classes = _degree_classes(adj, range(pattern.n))
+    return ({d: len(vs) for d, vs in classes.items()},
+            _least_code(adj, classes))
 
 
 def contains_induced(g, pattern):
@@ -257,13 +279,12 @@ def contains_induced(g, pattern):
     k = pattern.n
     if k > g.n:
         return False
-    pdegs = pattern.degree_sequence()
-    pcode = canonical_form(pattern)[1]
+    sizes, pcode = _pattern_key(pattern)
     adj = g.adjacency()
     for subset in combinations(range(g.n), k):
-        inside = set(subset)
-        degs = sorted((len(adj[v] & inside) for v in subset), reverse=True)
-        if tuple(degs) == pdegs and _canonical_code(adj, subset) == pcode:
+        classes = _degree_classes(adj, subset)
+        if ({d: len(vs) for d, vs in classes.items()} == sizes
+                and _least_code(adj, classes) == pcode):
             return True
     return False
 

@@ -1,20 +1,25 @@
 """Generalized distance matrices, exact symbolic determinants and
-minors, distance ideals with their triviality counts, integer-point
-evaluation, and the distance characteristic polynomial.
+minors, distance ideals with their triviality counts and the
+certificates that settle most verdicts without a Groebner basis,
+integer-point evaluation, and the distance characteristic polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
+from typing import NamedTuple
 
 from . import snf
 from .graph import all_pairs_distances, emit_graph6
 from .groebner import Ideal
-from .poly import ZZ, Polynomial, make_vars
+from .poly import QQ, ZZ, Polynomial, make_vars
 
-# guard for the sum over i of C(n,i)^2 minors a chain expands
+# guard for the sum over i of C(n,i)^2 minors a chain expands, and for
+# the 2^n principal minors of the characteristic polynomial
 MAX_MINOR_N = 8
 
 
@@ -132,15 +137,192 @@ def trivial_count_phi(g, ring=ZZ, max_i=None):
 
     Triviality is downward-closed along the ideal chain, so the scan
     stops at the first nontrivial ideal; max_i caps the scan for callers
-    that only need a threshold comparison.
+    that only need a threshold comparison.  Each verdict comes from
+    ``certify`` when it finds a certificate, and from the Groebner basis
+    of the minors otherwise, both off one matrix and its minor memo.
     """
     top = g.n if max_i is None else min(max_i, g.n)
+    m = generalized_distance_matrix(g)
     count = 0
-    for res in _chain(g, range(1, top + 1), ring, True):
-        if not res.trivial:
+    for i in range(1, top + 1):
+        cert = certify(m, i, ring)
+        if cert is None:
+            trivial = Ideal(ring, m.vars,
+                            minors(m, i, allow_large=True)).is_trivial()
+        else:
+            trivial = isinstance(cert, Bezout)
+        if not trivial:
             break
-        count = res.index
+        count = i
     return count
+
+
+# ---------------------------------------------------------------------------
+# certificates: verdicts that integer arithmetic can check
+
+class Bezout(NamedTuple):
+    """I_i is trivial: 1 = sum of coeffs[j] * det D(G)[rows, cols] over
+    pairs[j] = (rows, cols).  Rows and columns are disjoint i-sets, so
+    the minor has no variable and is an integer in I_i.  The
+    coefficients are integers over ZZ and may be Fractions over QQ."""
+    pairs: tuple
+    coeffs: tuple
+
+
+class Point(NamedTuple):
+    """I_i is nontrivial: every i-minor of D(G, a) vanishes mod p, so
+    I_i lies in the proper ideal (p, x_0 - a_0, ..., x_{n-1} - a_{n-1}).
+    p = 0 means a rational point, which settles ZZ as well as QQ."""
+    p: int
+    a: tuple
+
+
+def certify(m, i, ring=ZZ):
+    """A ``Bezout`` or ``Point`` for I_i of m = diag(vars) + D(G), or
+    None when neither cheap proof applies.
+
+    Trivial: over ZZ, the constant i-minors are scanned until their gcd
+    is 1; over QQ one nonzero constant minor is enough.  Constant minors
+    need n >= 2i.
+
+    Nontrivial, only for i = 2 and n >= 3: rank D(G, a) <= 1 forces
+    a_u = d_uv * d_uw / d_vw whenever d_vw is invertible, so there is one
+    candidate point for each prime p dividing the gcd g_2 of the
+    constant 2-minors, or one rational candidate when g_2 = 0 (over QQ
+    that is the only case left)."""
+    det = m.laplace.det
+    pairs, coeffs, g = [], [], 0
+    for pair in _constant_pairs(m.n, i):
+        d = det(*pair)
+        if not d:
+            continue
+        if ring == QQ:
+            return Bezout((pair,), (Fraction(1, d),))
+        h, s, t = _xgcd(g, d)
+        if h != g:
+            pairs.append(pair)
+            coeffs = [s * c for c in coeffs] + [t]
+            g = h
+            if g == 1:
+                return Bezout(tuple(pairs), tuple(coeffs))
+    if i == 2 and m.n >= 3:
+        for p in (_prime_factors(g) if g else (0,)):
+            a = _rank_one_point(m.const, p)
+            if a is not None and _vanishes(m.const, a, p, 2):
+                return Point(p, a)
+    return None
+
+
+def check(cert, g, i, ring=ZZ):
+    """Whether ``cert`` proves its verdict on I_i of g over ``ring``.
+
+    Every minor is recomputed from D(G) with exact arithmetic; neither
+    the minor memo of ``certify`` nor the Groebner engine is used."""
+    dm = all_pairs_distances(g)
+    n = g.n
+    if not 1 <= i <= n:
+        return False
+    if isinstance(cert, Bezout):
+        if len(cert.pairs) != len(cert.coeffs):
+            return False
+        det = snf.LaplaceMemo(dm).det
+        total = 0
+        for (rsub, csub), c in zip(cert.pairs, cert.coeffs):
+            if not (_is_index_set(rsub, i, n) and _is_index_set(csub, i, n)
+                    and not set(rsub) & set(csub)):
+                return False
+            if ring == ZZ and Fraction(c).denominator != 1:
+                return False
+            total += c * det(rsub, csub)
+        return total == 1
+    if isinstance(cert, Point):
+        p, a = cert.p, cert.a
+        if len(a) != n:
+            return False
+        # a point over F_p has integer coordinates and says nothing over QQ
+        if p and (ring == QQ or _prime_factors(p) != [p]
+                  or any(Fraction(x).denominator != 1 for x in a)):
+            return False
+        return _vanishes(dm, a, p, i)
+    return False
+
+
+def _constant_pairs(n, i):
+    """Each unordered pair of disjoint i-subsets of range(n), once: the
+    minor of a symmetric matrix does not change when they swap."""
+    for rsub in combinations(range(n), i):
+        rest = [v for v in range(n) if v not in rsub]
+        for csub in combinations(rest, i):
+            if rsub < csub:
+                yield rsub, csub
+
+
+def _xgcd(a, b):
+    """(h, s, t) with h = gcd(a, b) = s*a + t*b and h >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _prime_factors(g):
+    """The distinct primes dividing g, in increasing order."""
+    g = abs(g)
+    out = []
+    q = 2
+    while q * q <= g:
+        if g % q == 0:
+            out.append(q)
+            while g % q == 0:
+                g //= q
+        q += 1
+    if g > 1:
+        out.append(g)
+    return out
+
+
+def _is_index_set(s, i, n):
+    return (len(s) == i and tuple(s) == tuple(sorted(set(s)))
+            and all(0 <= v < n for v in s))
+
+
+def _mod(d, p):
+    """d mod p, with p = 0 meaning the integers themselves."""
+    return d % p if p else d
+
+
+def _rank_one_point(dm, p):
+    """The only point where D(G, a) can have rank <= 1 mod p (p = 0: over
+    QQ), reading a_u off the first pair v < w, both other than u, with
+    d_vw invertible; None when some u has no such pair."""
+    n = len(dm)
+    a = []
+    for u in range(n):
+        for v, w in combinations([x for x in range(n) if x != u], 2):
+            if _mod(dm[v][w], p):
+                break
+        else:
+            return None
+        num = dm[u][v] * dm[u][w]
+        a.append(num * pow(dm[v][w], -1, p) % p if p
+                 else Fraction(num, dm[v][w]))
+    return tuple(a)
+
+
+def _vanishes(dm, a, p, i):
+    """Whether every i-minor of D(G, a) is 0 mod p (exactly 0 for p = 0).
+    Denominators are cleared by scaling the matrix by their lcm L, which
+    scales every i-minor by L^i; L is 1 for p > 0."""
+    n = len(dm)
+    scale = lcm(*(Fraction(x).denominator for x in a))
+    M = [[int(a[u] * scale) if u == v else dm[u][v] * scale
+          for v in range(n)] for u in range(n)]
+    det = snf.LaplaceMemo(M).det
+    subsets = list(combinations(range(n), i))
+    return not any(_mod(det(r, c), p) for r in subsets for c in subsets)
 
 
 def evaluate_ideal(g, i, point):
@@ -162,12 +344,16 @@ def evaluate_ideal(g, i, point):
 CHAR_VAR = "lam"
 
 
-def char_poly_distance(g):
+def char_poly_distance(g, allow_large=False):
     """(monic char poly of D(G) in lam, sorted integer roots).
 
     The coefficient of lam^(n-k) is (-1)^k times the sum of the
-    principal k-minors of D(G)."""
+    principal k-minors of D(G), all 2^n of them, so n is held to
+    MAX_MINOR_N unless allow_large is set."""
     n = g.n
+    if not allow_large and n > MAX_MINOR_N:
+        raise ValueError("characteristic polynomial needs allow_large for "
+                         "n=%d" % n)
     memo = snf.LaplaceMemo(all_pairs_distances(g))
     terms = {}
     for k in range(n + 1):

@@ -90,13 +90,25 @@ def test_corpus_report_range():
         corpus_report(8, "Z")
 
 
-@pytest.mark.slow
-def test_corpus_report_n6_both_rings():
-    rz = corpus_report(6, "Z")
-    assert rz.ok and rz.passing == 14
-    assert [rz.per_size[n]["passing"] for n in range(1, 7)] == \
-        [1, 1, 2, 3, 3, 4]
-    rr = corpus_report(6, "R")
-    assert rr.ok and rr.passing == 10
-    assert [rr.per_size[n]["passing"] for n in range(1, 7)] == \
-        [1, 1, 2, 2, 2, 2]
+def test_corpus_report_n7_both_rings():
+    rz = corpus_report(7, "Z")
+    assert rz.ok and rz.passing == 18
+    assert [rz.per_size[n]["passing"] for n in range(1, 8)] == \
+        [1, 1, 2, 3, 3, 4, 4]
+    rr = corpus_report(7, "R")
+    assert rr.ok and rr.passing == 12
+    assert [rr.per_size[n]["passing"] for n in range(1, 8)] == \
+        [1, 1, 2, 2, 2, 2, 2]
+
+
+def test_classify_needs_no_groebner_basis(monkeypatch):
+    # from n = 4 on, certificates settle I_1 and I_2 in both rings
+    import distideal.groebner as groebner_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger called")
+
+    monkeypatch.setattr(groebner_mod, "buchberger", refuse)
+    for g in enumerate_connected(6):
+        if g.n >= 4:
+            assert classify_Z(g).agreement and classify_R(g).agreement

@@ -84,6 +84,16 @@ def test_charpoly(capsys):
     assert lines[1] == "integer roots: [-2, 0, 4]"
 
 
+def test_charpoly_size_guard(capsys):
+    code, out, err = run(capsys, "charpoly", "--family", "path:9")
+    assert code == 1 and not out
+    assert "allow_large" in err
+    code, out, _ = run(capsys, "charpoly", "--family", "path:9",
+                       "--allow-large")
+    assert code == 0
+    assert out.splitlines()[0].startswith("lam^9 - 540*lam^7")
+
+
 def test_classify_text(capsys):
     code, out, _ = run(capsys, "classify", "--ring", "R", "--nmax", "4")
     assert code == 0

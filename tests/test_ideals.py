@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from distideal.graph import (all_pairs_distances, build_graph,
                              enumerate_connected, family, is_connected)
 from distideal.groebner import Ideal, ideals_equal
-from distideal.ideals import (char_poly_distance, det_symbolic,
-                              distance_ideal, evaluate_ideal,
-                              generalized_distance_matrix, ideal_report,
-                              minors, trivial_count_phi)
+from distideal.ideals import (Bezout, Point, certify, char_poly_distance,
+                              check, det_symbolic, distance_ideal,
+                              evaluate_ideal, generalized_distance_matrix,
+                              ideal_report, minors, trivial_count_phi)
 from distideal.poly import QQ, ZZ, Polynomial, make_vars
 from distideal.snf import minors_gcd, smith_normal_form
 from graph_helpers import diameter
@@ -387,3 +388,120 @@ def test_rational_minors_are_integer_minors_converted():
                         seen.add(d if d.leading()[1] > 0 else -d)
             assert sorted(seen, key=lambda p: p.sort_key()) == \
                 [p.to_ring(QQ) for p in minors(mz, i)]
+
+
+# ---------------------------------------------------------------------------
+# certificates against the Groebner verdicts
+
+def _certificates(n_min, n_max, i_max, ring):
+    """(g, i, certificate) for every certified index i <= i_max of the
+    graphs with n_min <= n <= n_max."""
+    for g in enumerate_connected(n_max):
+        if g.n < n_min:
+            continue
+        m = generalized_distance_matrix(g)
+        for i in range(1, min(i_max, g.n) + 1):
+            cert = certify(m, i, ring)
+            if cert is not None:
+                yield g, i, cert
+
+
+def _assert_certified_verdicts(n_min, n_max, i_max, ring):
+    settled = set()
+    for g, i, cert in _certificates(n_min, n_max, i_max, ring):
+        assert check(cert, g, i, ring), (g, i, cert)
+        assert isinstance(cert, Bezout) == \
+            distance_ideal(g, i, ring, allow_large=True).trivial, (g, i, cert)
+        settled.add((g, i))
+    return settled
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_certified_verdicts_match_groebner(ring):
+    settled = _assert_certified_verdicts(1, 6, 6, ring)
+    # the two verdicts classify needs are settled for every graph with
+    # n >= 3; I_2 of K2 is left to the Groebner basis
+    for g in enumerate_connected(6):
+        wanted = [i for i in (1, 2) if g.n >= 3 or (g.n == 2 and i == 1)]
+        assert all((g, i) in settled for i in wanted), g
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_certified_verdicts_match_groebner_seven_vertices(ring):
+    _assert_certified_verdicts(7, 7, 3, ring)
+
+
+def test_certificate_examples():
+    # over ZZ, I_2 of C4 is nontrivial at a point mod 3, over QQ trivial
+    m = generalized_distance_matrix(family("cycle", 4))
+    assert certify(m, 2, ZZ) == Point(3, (2, 2, 2, 2))
+    assert certify(m, 2, QQ) == Bezout((((0, 1), (2, 3)),),
+                                       (Fraction(1, 3),))
+    # a rational point settles K3 in both rings
+    m = generalized_distance_matrix(family("complete", 3))
+    assert certify(m, 2, ZZ) == Point(0, (1, 1, 1))
+    # I_2 of K2 has no constant minor, and the point rule needs n >= 3
+    assert certify(generalized_distance_matrix(family("complete", 2)), 2) \
+        is None
+
+
+def _small_certificates(kind, ring):
+    return [(g, i, c) for g, i, c in _certificates(4, 6, 3, ring)
+            if isinstance(c, kind)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_check_rejects_changed_coefficient(ring):
+    certs = _small_certificates(Bezout, ring)
+    assert certs
+    for g, i, cert in certs:
+        coeffs = (cert.coeffs[0] + 1,) + cert.coeffs[1:]
+        assert not check(Bezout(cert.pairs, coeffs), g, i, ring)
+        # ZZ certificates need integer coefficients
+        if ring == QQ and any(Fraction(c).denominator > 1
+                              for c in cert.coeffs):
+            assert not check(cert, g, i, ZZ)
+
+
+def test_check_rejects_overlapping_index_sets():
+    for g in enumerate_connected(5):
+        if g.n < 2:
+            continue
+        cert = certify(generalized_distance_matrix(g), 1, ZZ)
+        # the (u, u) entry of D(G) is 0, so the sum is still 1, but in
+        # D(G, X) that 1-minor is x_u, not an integer
+        for u in range(g.n):
+            bad = Bezout(cert.pairs + (((u,), (u,)),), cert.coeffs + (7,))
+            assert not check(bad, g, 1, ZZ)
+    g = family("cycle", 4)
+    cert = certify(generalized_distance_matrix(g), 2, QQ)
+    (rsub, csub), = cert.pairs
+    assert check(cert, g, 2, QQ)
+    assert not check(Bezout(((rsub, (csub[0], rsub[0])),), cert.coeffs),
+                     g, 2, QQ)
+    assert not check(Bezout(((rsub, csub[:1]),), cert.coeffs), g, 2, QQ)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_check_rejects_shifted_point(ring):
+    certs = _small_certificates(Point, ring)
+    assert certs
+    for g, i, cert in certs:
+        for u in range(g.n):
+            a = list(cert.a)
+            a[u] = (a[u] + 1) % cert.p if cert.p else a[u] + 1
+            assert not check(Point(cert.p, tuple(a)), g, i, ring)
+
+
+def test_check_rejects_wrong_prime():
+    # a rational point with integer coordinates is a point mod every
+    # prime too, so only the F_p points have a wrong prime
+    certs = [(g, i, c) for g, i, c in _small_certificates(Point, ZZ) if c.p]
+    assert certs
+    for g, i, cert in certs:
+        for q in (0, 1, 2, 3, 4, 5, 7, 9, -3):
+            if q != cert.p:
+                assert not check(Point(q, cert.a), g, i, ZZ), (g, cert, q)
+        # a point over F_p says nothing over QQ
+        assert not check(cert, g, i, QQ)
