@@ -2,7 +2,7 @@
 
 from .graph import (Graph, build_graph, family, parse_graph6, emit_graph6,
                     all_pairs_distances, is_connected, contains_induced,
-                    enumerate_connected, transmissions, PATTERNS)
+                    enumerate_connected, PATTERNS)
 from .poly import Polynomial, ZZ, QQ
 from .groebner import Ideal, ideals_equal
 from .ideals import (generalized_distance_matrix, det_symbolic, minors,

@@ -177,7 +177,7 @@ def verify_family(spec):
     if det is not None and det_symbolic(mat) != det():
         return False
     return all(ideals_equal(
-        Ideal(ZZ, mat.vars, minors(mat, k, allow_large=True)),
+        Ideal(ZZ, mat.vars, minors(mat, k)),
         Ideal(ZZ, mat.vars, gens(k))) for k in indices)
 
 

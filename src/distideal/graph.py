@@ -28,13 +28,6 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def has_edge(self, u, v):
-        return frozenset((u, v)) in self.edges
-
-    def degree_sequence(self):
-        adj = self.adjacency()
-        return tuple(sorted((len(a) for a in adj), reverse=True))
-
     def induced(self, vertices):
         """Induced subgraph on the given vertices, relabeled 0..k-1."""
         vertices = sorted(vertices)
@@ -225,11 +218,6 @@ def all_pairs_distances(g):
     if -1 in rows[0]:
         raise ValueError("distance matrix undefined: graph disconnected")
     return rows
-
-
-def transmissions(g):
-    dm = all_pairs_distances(g)
-    return tuple(sum(row) for row in dm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
 """Generalized distance matrices, exact symbolic determinants and
-minors, distance ideals with their triviality counts and the
-certificates that settle most verdicts without a Groebner basis,
-integer-point evaluation, and the distance characteristic polynomial.
+minors, the distance-ideal chain, integer-point evaluation, and the
+distance characteristic polynomial.
+
+One walker, ``ideal_chain``, serves every distance-ideal verdict.  It
+builds one symbolic matrix per graph and one ``Step`` per index i.  A
+step's verdict comes from ``certify`` when it finds a certificate that
+integer arithmetic can ``check``, and from the Groebner basis of the
+i-minors otherwise; the minors are expanded only when a caller reads
+the step's ideal.  ``distance_ideal``, ``trivial_count_phi`` (Φ) and
+``ideal_report`` all read their steps off one walk.
 """
 
 from __future__ import annotations
@@ -9,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice, takewhile
 from math import lcm
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import snf
 from .graph import all_pairs_distances, emit_graph6
-from .groebner import Ideal
+from .groebner import Ideal, _ext_gcd
 from .poly import QQ, ZZ, Polynomial, make_vars
 
 # guard for the sum over i of C(n,i)^2 minors a chain expands, and for
@@ -84,16 +92,13 @@ def det_symbolic(matrix):
     return matrix.minor(idx, idx)
 
 
-def minors(matrix, i, allow_large=False):
+def minors(matrix, i):
     """All nonzero i x i minors, deduplicated up to sign and sorted.
 
     By symmetry each unordered pair of index sets is visited once."""
     n = matrix.n
     if not (1 <= i <= n):
         raise ValueError("minor size out of range")
-    if not allow_large and n > MAX_MINOR_N:
-        raise ValueError("minor enumeration needs allow_large for n=%d, i=%d"
-                         % (n, i))
     seen = set()
     subsets = list(combinations(range(n), i))
     for a, rsub in enumerate(subsets):
@@ -108,53 +113,60 @@ def minors(matrix, i, allow_large=False):
 # distance ideals
 
 @dataclass
-class DistanceIdealResult:
-    graph: object
+class Step:
+    """I_i of the distance-ideal chain of ``matrix`` over ``ring``.
+    ``certify`` runs when the step is built, and the ideal of the
+    i-minors is computed on first read; the verdict comes from the
+    certificate when there is one."""
+    matrix: SymbolicMatrix
     index: int
     ring: str
-    ideal: Ideal
-    trivial: bool
+
+    def __post_init__(self):
+        self.certificate = certify(self.matrix, self.index, self.ring)
+
+    @cached_property
+    def ideal(self):
+        # minors are integer polynomials; buchberger converts them to
+        # the ring when it runs
+        m = self.matrix
+        return Ideal(self.ring, m.vars, minors(m, self.index))
+
+    @property
+    def trivial(self):
+        if self.certificate is None:
+            return self.ideal.is_trivial()
+        return isinstance(self.certificate, Bezout)
 
 
-def _chain(g, indices, ring, allow_large):
-    """The distance ideals I_i of g for i in indices, all from one matrix
-    and its minor memo.  Minors are expanded over ZZ and stay integer
-    polynomials; buchberger converts them to ``ring`` when it runs."""
+def ideal_chain(g, ring=ZZ, allow_large=False):
+    """The steps I_1, ..., I_n of g, all off one matrix and its minor
+    memo, each built when the walk reaches it.  Graphs with more than
+    MAX_MINOR_N vertices need allow_large, checked before the walk."""
+    if not allow_large and g.n > MAX_MINOR_N:
+        raise ValueError("distance ideals need allow_large for n=%d" % g.n)
     m = generalized_distance_matrix(g)
-    for i in indices:
-        ideal = Ideal(ring, m.vars, minors(m, i, allow_large=allow_large))
-        yield DistanceIdealResult(g, i, ring, ideal, ideal.is_trivial())
+    return (Step(m, i, ring) for i in range(1, g.n + 1))
+
+
+def _leading_trivial(steps):
+    """How many steps lead the chain with trivial ideals.  Triviality is
+    downward-closed along the chain, so this is Φ when steps is the
+    whole chain, and it stops at the first nontrivial step."""
+    return sum(1 for _ in takewhile(attrgetter("trivial"), steps))
 
 
 def distance_ideal(g, i, ring=ZZ, allow_large=False):
     if not (1 <= i <= g.n):
         raise ValueError("ideal index out of range")
-    return next(_chain(g, [i], ring, allow_large))
+    return next(islice(ideal_chain(g, ring, allow_large), i - 1, None))
 
 
 def trivial_count_phi(g, ring=ZZ, max_i=None):
-    """Largest i with trivial i-th distance ideal (0 if none).
-
-    Triviality is downward-closed along the ideal chain, so the scan
-    stops at the first nontrivial ideal; max_i caps the scan for callers
-    that only need a threshold comparison.  Each verdict comes from
-    ``certify`` when it finds a certificate, and from the Groebner basis
-    of the minors otherwise, both off one matrix and its minor memo.
-    """
-    top = g.n if max_i is None else min(max_i, g.n)
-    m = generalized_distance_matrix(g)
-    count = 0
-    for i in range(1, top + 1):
-        cert = certify(m, i, ring)
-        if cert is None:
-            trivial = Ideal(ring, m.vars,
-                            minors(m, i, allow_large=True)).is_trivial()
-        else:
-            trivial = isinstance(cert, Bezout)
-        if not trivial:
-            break
-        count = i
-    return count
+    """Largest i with trivial i-th distance ideal (0 if none); max_i
+    caps the scan for callers that only need a threshold comparison."""
+    return _leading_trivial(islice(ideal_chain(g, ring, allow_large=True),
+                                   max_i))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +210,7 @@ def certify(m, i, ring=ZZ):
             continue
         if ring == QQ:
             return Bezout((pair,), (Fraction(1, d),))
-        h, s, t = _xgcd(g, d)
+        h, s, t = _ext_gcd(g, d)
         if h != g:
             pairs.append(pair)
             coeffs = [s * c for c in coeffs] + [t]
@@ -255,17 +267,6 @@ def _constant_pairs(n, i):
         for csub in combinations(rest, i):
             if rsub < csub:
                 yield rsub, csub
-
-
-def _xgcd(a, b):
-    """(h, s, t) with h = gcd(a, b) = s*a + t*b and h >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 def _prime_factors(g):
@@ -391,33 +392,25 @@ def _integer_roots(p):
 def ideal_report(g, ring=ZZ, indices=None, allow_large=False):
     """JSON-ready report of the distance ideals of a graph.
 
-    One pass up the chain computes each ideal once: up to the largest
-    requested index and at least to the first nontrivial ideal, which
-    fixes Φ.
+    One walk up the chain serves the records and Φ: a Groebner basis is
+    computed for each requested index, and below the first nontrivial
+    ideal only where no certificate settles the verdict.
     """
     indices = list(indices) if indices is not None else list(range(1, g.n + 1))
     if not all(1 <= i <= g.n for i in indices):
         raise ValueError("ideal index out of range")
-    top = max(indices, default=0)
-    chain = {}
-    phi = 0
-    for res in _chain(g, range(1, g.n + 1), ring, allow_large):
-        chain[res.index] = res
-        if res.trivial and phi == res.index - 1:
-            phi = res.index
-        if phi < res.index and res.index >= top:
-            break
+    steps = list(ideal_chain(g, ring, allow_large))
     records = [{
-        "i": i,
-        "generators": [p.render() for p in chain[i].ideal.gens],
-        "groebner_basis": [p.render() for p in chain[i].ideal.basis],
-        "trivial": chain[i].trivial,
-    } for i in indices]
+        "i": step.index,
+        "generators": [p.render() for p in step.ideal.gens],
+        "groebner_basis": [p.render() for p in step.ideal.basis],
+        "trivial": step.trivial,
+    } for step in (steps[i - 1] for i in indices)]
     return {
         "schema": "v1",
         "kind": "ideals",
         "graph6": emit_graph6(g),
         "ring": "Z" if ring == ZZ else "Q",
         "ideals": records,
-        "phi": phi,
+        "phi": _leading_trivial(steps),
     }

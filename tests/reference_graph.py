@@ -2,11 +2,12 @@
 served it: the reference oracle for the differential tests in
 ``test_graph_reference.py``.
 
-The bodies below are kept verbatim, except that ``Graph.induced`` is the
-free function ``induced`` and ``contains_induced`` calls it.  Each one
-writes out the upper-triangle bit order, a BFS or a 2-colouring of its
-own, so they share nothing with the code they check but ``build_graph``
-and ``Graph``'s edge set.
+The bodies below are kept verbatim, except that the methods
+``Graph.induced``, ``Graph.has_edge`` and ``Graph.degree_sequence`` are
+free functions here, and their callers call them so.  Each one writes
+out the upper-triangle bit order, a BFS or a 2-colouring of its own, so
+they share nothing with the code they check but ``build_graph`` and
+``Graph``'s edge set.
 """
 
 from __future__ import annotations
@@ -15,6 +16,18 @@ from collections import deque
 from itertools import combinations, permutations, product
 
 from distideal.graph import PATTERNS, build_graph
+
+
+def has_edge(g, u, v):
+    return frozenset((u, v)) in g.edges
+
+
+def degree_sequence(g):
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(sorted((len(a) for a in adj), reverse=True))
 
 
 def induced(g, vertices):
@@ -65,7 +78,7 @@ def emit_graph6(g):
     bits = []
     for j in range(n):
         for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
+            bits.append(1 if has_edge(g, i, j) else 0)
     while len(bits) % 6:
         bits.append(0)
     out = [chr(n + 63)]
@@ -145,11 +158,11 @@ def contains_induced(g, pattern):
     if k > g.n:
         return False
     pedges = len(pattern.edges)
-    pdegs = pattern.degree_sequence()
+    pdegs = degree_sequence(pattern)
     pform = canonical_form(pattern)
     for subset in combinations(range(g.n), k):
         sub = induced(g, subset)
-        if len(sub.edges) != pedges or sub.degree_sequence() != pdegs:
+        if len(sub.edges) != pedges or degree_sequence(sub) != pdegs:
             continue
         if canonical_form(sub) == pform:
             return True
@@ -175,7 +188,7 @@ def is_complete_bipartite(g):
                 return False
     left = [v for v in range(g.n) if color[v] == 0]
     right = [v for v in range(g.n) if color[v] == 1]
-    return all(g.has_edge(u, v) for u in left for v in right)
+    return all(has_edge(g, u, v) for u in left for v in right)
 
 
 def is_star(g):
@@ -188,4 +201,4 @@ def is_star(g):
         return False
     c = centers[0]
     others = [v for v in range(g.n) if v != c]
-    return all(not g.has_edge(u, v) for u, v in combinations(others, 2))
+    return all(not has_edge(g, u, v) for u, v in combinations(others, 2))

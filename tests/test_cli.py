@@ -192,6 +192,12 @@ def test_ideals_five_vertices_without_allow_large(capsys):
     assert out.strip().splitlines()[-1].startswith("phi = ")
 
 
+def test_ideals_size_guard(capsys):
+    code, out, err = run(capsys, "ideals", "--family", "path:9")
+    assert code == 1 and not out
+    assert "allow_large" in err
+
+
 def test_jobs_ignores_environment(monkeypatch, capsys):
     # classification is serial: there is no --jobs, and DISTIDEAL_JOBS is
     # read nowhere

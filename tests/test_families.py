@@ -62,7 +62,7 @@ def test_mdiag_cofactor_recursion():
 def test_mdiag_gens_match_minors():
     mat = mdiag_matrix(4, 2)
     for k in range(1, 4):
-        brute = minors(mat, k, allow_large=True)
+        brute = minors(mat, k)
         assert ideals_equal(Ideal(ZZ, mat.vars, brute),
                             Ideal(ZZ, mat.vars, mdiag_ideal_gens(4, 2, k)))
 
@@ -137,7 +137,7 @@ def test_star_gens_k1_unit():
 def test_star_gens_match_minors():
     mat = star_matrix(4)
     for k in (2, 3):
-        brute = minors(mat, k, allow_large=True)
+        brute = minors(mat, k)
         assert ideals_equal(Ideal(ZZ, mat.vars, brute),
                             Ideal(ZZ, mat.vars, star_ideal_gens(4, k)))
 

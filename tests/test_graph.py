@@ -6,7 +6,8 @@ import pytest
 from distideal.graph import (PATTERNS, all_pairs_distances, build_graph,
                              canonical_form, contains_induced, emit_graph6,
                              enumerate_connected, family, is_connected,
-                             parse_graph6, transmissions)
+                             parse_graph6)
+from distideal.snf import distance_laplacian_matrix
 from graph_helpers import are_isomorphic, diameter
 
 
@@ -34,8 +35,7 @@ def test_family_star_labeling():
     g = family("star", 3)
     assert g.n == 4
     # leaves 0..2, center 3
-    assert all(g.has_edge(i, 3) for i in range(3))
-    assert not any(g.has_edge(i, j) for i in range(3) for j in range(i))
+    assert g.edges == {frozenset((i, 3)) for i in range(3)}
 
 
 def test_family_tripartite_diamond():
@@ -117,7 +117,7 @@ def test_distance_matrix_invariants():
             assert dm[u][u] == 0
             for v in range(n):
                 assert dm[u][v] == dm[v][u]
-                assert (dm[u][v] == 1) == g.has_edge(u, v) if u != v else True
+                assert (dm[u][v] == 1) == (frozenset((u, v)) in g.edges)
                 for w in range(n):
                     assert dm[u][w] <= dm[u][v] + dm[v][w]
 
@@ -129,6 +129,11 @@ def test_is_connected():
 
 
 def test_transmissions():
+    # the diagonal of the distance Laplacian holds the transmissions
+    def transmissions(g):
+        lap = distance_laplacian_matrix(g)
+        return tuple(lap[v][v] for v in range(g.n))
+
     assert transmissions(family("complete", 5)) == (4,) * 5
     m = 4
     tr = transmissions(family("star", m))

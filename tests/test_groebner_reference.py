@@ -23,7 +23,7 @@ def _render(basis):
 def _assert_chains_match(g, rings=(ZZ, QQ), indices=None):
     m = generalized_distance_matrix(g)
     for i in indices or range(1, g.n + 1):
-        gens_z = minors(m, i, allow_large=True)
+        gens_z = minors(m, i)
         for ring in rings:
             gens = [p.to_ring(ring) for p in gens_z]
             new = buchberger(gens, ring, m.vars)

@@ -98,11 +98,16 @@ def test_minors_range_guard():
     m = generalized_distance_matrix(family("cycle", 6))
     with pytest.raises(ValueError):
         minors(m, 0)
-    assert minors(m, 5)       # every i is allowed up to n = 8
-    big = generalized_distance_matrix(family("path", 9))
-    with pytest.raises(ValueError):
-        minors(big, 1)        # n > 8 without override
-    assert minors(big, 1, allow_large=True)
+    assert minors(m, 5)
+    # the n <= 8 guard sits at the start of the chain walk, not in minors
+    big = family("path", 9)
+    assert minors(generalized_distance_matrix(big), 1)
+    for walk in (lambda: distance_ideal(big, 1),
+                 lambda: ideal_report(big, ZZ, [1])):
+        with pytest.raises(ValueError, match="allow_large"):
+            walk()
+    assert distance_ideal(big, 1, allow_large=True).trivial
+    assert ideal_report(big, ZZ, [1], allow_large=True)["phi"] == 2
 
 
 def test_claw_i2_golden():
@@ -344,17 +349,50 @@ def test_ideal_report_computes_each_index_once(monkeypatch):
             assert asked and len(asked) == len(set(asked)), asked
 
 
+def _groebner_ideal(g, i, ring):
+    """I_i with its verdict from the Groebner basis alone, not from a
+    certificate: the reference the walker's verdicts are checked
+    against."""
+    m = generalized_distance_matrix(g)
+    return Ideal(ring, m.vars, minors(m, i))
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ])
 def test_ideal_report_matches_per_index_references(ring):
     for g in enumerate_connected(5):
         rep = ideal_report(g, ring)
-        assert rep["phi"] == trivial_count_phi(g, ring)
-        for rec in rep["ideals"]:
-            res = distance_ideal(g, rec["i"], ring)
-            assert rec["generators"] == [p.render() for p in res.ideal.gens]
-            assert rec["groebner_basis"] == [p.render()
-                                             for p in res.ideal.basis]
-            assert rec["trivial"] == res.trivial
+        refs = [_groebner_ideal(g, i, ring) for i in range(1, g.n + 1)]
+        verdicts = [ref.is_trivial() for ref in refs] + [False]
+        assert rep["phi"] == verdicts.index(False) == \
+            trivial_count_phi(g, ring)
+        for rec, ref in zip(rep["ideals"], refs):
+            assert rec["generators"] == [p.render() for p in ref.gens]
+            assert rec["groebner_basis"] == [p.render() for p in ref.basis]
+            assert rec["trivial"] == ref.is_trivial()
+
+
+def test_walk_runs_buchberger_only_where_asked(monkeypatch):
+    import distideal.groebner as groebner_mod
+    calls = []
+    real = groebner_mod.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    c4 = family("cycle", 4)
+    monkeypatch.setattr(groebner_mod, "buchberger", counting)
+    # the record for I_1 needs its basis; certificates settle I_1 and
+    # I_2, so Φ needs none
+    rep = ideal_report(c4, ZZ, [1])
+    assert len(calls) == 1 and rep["phi"] == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger called")
+
+    monkeypatch.setattr(groebner_mod, "buchberger", refuse)
+    assert distance_ideal(c4, 2, ZZ).trivial is False
+    assert trivial_count_phi(c4, ZZ) == 1
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ])
@@ -411,7 +449,7 @@ def _assert_certified_verdicts(n_min, n_max, i_max, ring):
     for g, i, cert in _certificates(n_min, n_max, i_max, ring):
         assert check(cert, g, i, ring), (g, i, cert)
         assert isinstance(cert, Bezout) == \
-            distance_ideal(g, i, ring, allow_large=True).trivial, (g, i, cert)
+            _groebner_ideal(g, i, ring).is_trivial(), (g, i, cert)
         settled.add((g, i))
     return settled
 
