@@ -16,20 +16,22 @@ from .poly import QQ, ZZ
 
 FORBIDDEN_Z = ("P4", "paw", "diamond")
 FORBIDDEN_R = ("P4", "paw", "diamond", "C4")
+# per ring: (coefficient ring of the ideals, forbidden induced subgraphs)
+RINGS = {"Z": (ZZ, FORBIDDEN_Z), "R": (QQ, FORBIDDEN_R)}
 
 
 # ---------------------------------------------------------------------------
 # structural recognizers (independent of the pattern matcher)
 
 def is_complete(g):
-    return len(g.edges) == g.n * (g.n - 1) // 2
+    return all(len(a) == g.n - 1 for a in g.adj)
 
 
 def is_complete_bipartite(g):
     """Connected induced subgraphs of K_{m,n} are exactly these.  One BFS
     from vertex 0 gives connectivity, and the sides are the parity
     classes of its distances."""
-    adj = g.adjacency()
+    adj = g.adj
     dist = distances_from(adj, 0)
     if -1 in dist:
         return False
@@ -39,7 +41,7 @@ def is_complete_bipartite(g):
 
 def is_star(g):
     """K_{1,k} for some k >= 0 (a single vertex counts)."""
-    return ((g.n == 1 or any(len(a) == g.n - 1 for a in g.adjacency()))
+    return ((g.n == 1 or any(len(a) == g.n - 1 for a in g.adj))
             and is_complete_bipartite(g))
 
 
@@ -63,26 +65,25 @@ class ClassificationReport:
         return self.ideal_based
 
 
-def classify_Z(g):
+def classify(g, ring):
+    """The three deciders of g over ring "Z" or "R", each looked up in
+    the module globals per call, so a swapped-in wrapper is what runs."""
+    coeff_ring, names = RINGS[ring]
     if not is_connected(g):
         raise ValueError("classification defined for connected graphs")
-    ideal_based = trivial_count_phi(g, ZZ, max_i=2) <= 1
-    forbidden = not any(contains_induced(g, p) for p in FORBIDDEN_Z)
-    structural = is_complete(g) or is_complete_bipartite(g)
-    return ClassificationReport(g, "Z", ideal_based, forbidden, structural)
+    ideal_based = trivial_count_phi(g, coeff_ring, max_i=2) <= 1
+    forbidden = not any(contains_induced(g, p) for p in names)
+    structural = is_complete(g) or (
+        is_complete_bipartite(g) if ring == "Z" else is_star(g))
+    return ClassificationReport(g, ring, ideal_based, forbidden, structural)
+
+
+def classify_Z(g):
+    return classify(g, "Z")
 
 
 def classify_R(g):
-    if not is_connected(g):
-        raise ValueError("classification defined for connected graphs")
-    ideal_based = trivial_count_phi(g, QQ, max_i=2) <= 1
-    forbidden = not any(contains_induced(g, p) for p in FORBIDDEN_R)
-    structural = is_complete(g) or is_star(g)
-    return ClassificationReport(g, "R", ideal_based, forbidden, structural)
-
-
-def classify(g, ring):
-    return classify_Z(g) if ring == "Z" else classify_R(g)
+    return classify(g, "R")
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +92,7 @@ def classify(g, ring):
 def minimal_forbidden_ok(ring):
     """Each forbidden pattern has exactly two trivial ideals while all of
     its proper connected induced subgraphs have at most one."""
-    names = FORBIDDEN_Z if ring == "Z" else FORBIDDEN_R
-    coeff_ring = ZZ if ring == "Z" else QQ
+    coeff_ring, names = RINGS[ring]
     for name in names:
         g = PATTERNS[name]
         if trivial_count_phi(g, coeff_ring, max_i=3) != 2:

@@ -32,14 +32,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_graph(args):
-    sources = [s for s in (args.graph6, args.edges_file, args.family_spec)
+    sources = [s for s in (args.graph6, args.edge_file, args.family_spec)
                if s is not None]
     if len(sources) != 1:
         raise CliError("exactly one of --graph6 / --edges-file / --family required")
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
-    if args.edges_file is not None:
-        return _read_edges_file(args.edges_file)
+    if args.edge_file is not None:
+        return _read_edges_file(args.edge_file)
     return _parse_family(args.family_spec)
 
 
@@ -92,7 +92,8 @@ def _emit(args, payload, text):
 
 def _add_graph_source(p):
     p.add_argument("--graph6", help="graph6 string")
-    p.add_argument("--edges-file", help="file: first line n, then one edge per line")
+    p.add_argument("--edges-file", dest="edge_file",
+                   help="file: first line n, then one edge per line")
     p.add_argument("--family", dest="family_spec",
                    help="family spec, e.g. cycle:4, star:3, complete_bipartite:2,3")
 

@@ -18,33 +18,28 @@ MAX_ENUM_N = 7
 
 @dataclass(frozen=True)
 class Graph:
+    """n vertices 0..n-1; adj[v] is the frozenset of the neighbours of v."""
     n: int
-    edges: frozenset
-
-    def adjacency(self):
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    adj: tuple
 
     def induced(self, vertices):
         """Induced subgraph on the given vertices, relabeled 0..k-1."""
         vertices = sorted(vertices)
-        return _from_code(len(vertices), _code(self.adjacency(), vertices))
+        return _from_code(len(vertices), _code(self.adj, vertices))
 
 
 def build_graph(n, edges):
     if n < 1:
         raise ValueError("vertex count must be positive")
-    es = set()
+    adj = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:
             raise ValueError("loop edge (%d,%d)" % (u, v))
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError("endpoint out of range in (%d,%d)" % (u, v))
-        es.add(frozenset((u, v)))
-    return Graph(n, frozenset(es))
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n, tuple(map(frozenset, adj)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +110,6 @@ PATTERNS = {
     # K6 minus a perfect-matching pair
     "K6-M2": build_graph(6, [(u, v) for u, v in combinations(range(6), 2)
                              if (u, v) not in ((0, 3), (1, 2))]),
-    # triangle with two pendant vertices on one corner
-    "ltimes": build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)]),
-    # diamond with a pendant vertex
-    "dart": build_graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4)]),
 }
 
 
@@ -184,7 +175,7 @@ def emit_graph6(g):
         raise ValueError("graph6 with n > 62 unsupported")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    bits = _code(g.adjacency(), range(n)) << (6 * need - nbits)
+    bits = _code(g.adj, range(n)) << (6 * need - nbits)
     return chr(n + 63) + "".join(chr(((bits >> 6 * k) & 63) + 63)
                                  for k in reversed(range(need)))
 
@@ -193,8 +184,8 @@ def emit_graph6(g):
 # distances
 
 def distances_from(adj, s):
-    """BFS distances from s over the adjacency sets ``adj`` (as returned
-    by ``Graph.adjacency``); -1 for the vertices s cannot reach."""
+    """BFS distances from s over the neighbour sets ``adj`` (such as
+    ``Graph.adj``); -1 for the vertices s cannot reach."""
     dist = [-1] * len(adj)
     dist[s] = 0
     queue = deque([s])
@@ -208,13 +199,12 @@ def distances_from(adj, s):
 
 
 def is_connected(g):
-    return -1 not in distances_from(g.adjacency(), 0)
+    return -1 not in distances_from(g.adj, 0)
 
 
 def all_pairs_distances(g):
     """BFS distance matrix as a tuple of tuples; requires connectivity."""
-    adj = g.adjacency()
-    rows = tuple(tuple(distances_from(adj, s)) for s in range(g.n))
+    rows = tuple(tuple(distances_from(g.adj, s)) for s in range(g.n))
     if -1 in rows[0]:
         raise ValueError("distance matrix undefined: graph disconnected")
     return rows
@@ -248,13 +238,13 @@ def _canonical_code(adj, vertices):
 
 def canonical_form(g):
     """(n, min-adjacency bitstring) over degree-respecting relabelings."""
-    return (g.n, _canonical_code(g.adjacency(), range(g.n)))
+    return (g.n, _canonical_code(g.adj, range(g.n)))
 
 
 @lru_cache(maxsize=64)
 def _pattern_key(pattern):
     """(class sizes by degree, canonical code) of a pattern graph."""
-    adj = pattern.adjacency()
+    adj = pattern.adj
     classes = _degree_classes(adj, range(pattern.n))
     return ({d: len(vs) for d, vs in classes.items()},
             _least_code(adj, classes))
@@ -268,7 +258,7 @@ def contains_induced(g, pattern):
     if k > g.n:
         return False
     sizes, pcode = _pattern_key(pattern)
-    adj = g.adjacency()
+    adj = g.adj
     for subset in combinations(range(g.n), k):
         classes = _degree_classes(adj, subset)
         if ({d: len(vs) for d, vs in classes.items()} == sizes
@@ -292,7 +282,7 @@ def enumerate_connected(n_max):
         new = n - 1
         codes = set()
         for g in level:
-            adj = g.adjacency()
+            adj = g.adj
             for mask in range(1, 1 << new):
                 nbrs = {v for v in range(new) if (mask >> v) & 1}
                 ext = [a | {new} if v in nbrs else a

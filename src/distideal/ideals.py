@@ -228,8 +228,9 @@ def certify(m, i, ring=ZZ):
 def check(cert, g, i, ring=ZZ):
     """Whether ``cert`` proves its verdict on I_i of g over ``ring``.
 
-    Every minor is recomputed from D(G) with exact arithmetic; neither
-    the minor memo of ``certify`` nor the Groebner engine is used."""
+    The minors, or for a point their gcd Δ_i from the Smith form, are
+    recomputed from D(G) with exact arithmetic; neither the minor memo
+    of ``certify`` nor the Groebner engine is used."""
     dm = all_pairs_distances(g)
     n = g.n
     if not 1 <= i <= n:
@@ -314,16 +315,15 @@ def _rank_one_point(dm, p):
 
 
 def _vanishes(dm, a, p, i):
-    """Whether every i-minor of D(G, a) is 0 mod p (exactly 0 for p = 0).
+    """Whether every i-minor of D(G, a) is 0 mod p (exactly 0 for p = 0),
+    that is, whether p divides their gcd Δ_i, read off the Smith form.
     Denominators are cleared by scaling the matrix by their lcm L, which
     scales every i-minor by L^i; L is 1 for p > 0."""
     n = len(dm)
     scale = lcm(*(Fraction(x).denominator for x in a))
     M = [[int(a[u] * scale) if u == v else dm[u][v] * scale
           for v in range(n)] for u in range(n)]
-    det = snf.LaplaceMemo(M).det
-    subsets = list(combinations(range(n), i))
-    return not any(_mod(det(r, c), p) for r in subsets for c in subsets)
+    return not _mod(snf.smith_normal_form(M).delta(i), p)
 
 
 def evaluate_ideal(g, i, point):

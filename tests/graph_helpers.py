@@ -3,16 +3,22 @@
 from distideal.graph import all_pairs_distances, canonical_form
 
 
+def edge_set(g):
+    """The edges of g as a frozenset of 2-element frozensets."""
+    return frozenset(frozenset((u, v)) for u, a in enumerate(g.adj)
+                     for v in a if u < v)
+
+
 def diameter(g):
     return max(max(row) for row in all_pairs_distances(g))
 
 
 def degree_sequence(g):
-    return sorted((len(a) for a in g.adjacency()), reverse=True)
+    return sorted((len(a) for a in g.adj), reverse=True)
 
 
 def are_isomorphic(g, h):
-    if g.n != h.n or len(g.edges) != len(h.edges):
+    if g.n != h.n or len(edge_set(g)) != len(edge_set(h)):
         return False
     if degree_sequence(g) != degree_sequence(h):
         return False

@@ -7,7 +7,8 @@ The bodies below are kept verbatim, except that the methods
 free functions here, and their callers call them so.  Each one writes
 out the upper-triangle bit order, a BFS or a 2-colouring of its own, so
 they share nothing with the code they check but ``build_graph`` and
-``Graph``'s edge set.
+the neighbour sets ``Graph.adj``, read as an edge set through
+``graph_helpers.edge_set``.
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ from collections import deque
 from itertools import combinations, permutations, product
 
 from distideal.graph import PATTERNS, build_graph
+from graph_helpers import edge_set
 
 
 def has_edge(g, u, v):
-    return frozenset((u, v)) in g.edges
+    return frozenset((u, v)) in edge_set(g)
 
 
 def degree_sequence(g):
     adj = [set() for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         adj[u].add(v)
         adj[v].add(u)
     return tuple(sorted((len(a) for a in adj), reverse=True))
@@ -35,7 +37,7 @@ def induced(g, vertices):
     vertices = sorted(vertices)
     pos = {v: i for i, v in enumerate(vertices)}
     edges = [(pos[u], pos[v]) for u, v in
-             ((min(e), max(e)) for e in g.edges)
+             ((min(e), max(e)) for e in edge_set(g))
              if u in pos and v in pos]
     return build_graph(len(vertices), edges)
 
@@ -93,7 +95,7 @@ def emit_graph6(g):
 def is_connected(g):
     if g.n == 1:
         return True
-    adj = g.adjacency()
+    adj = g.adj
     seen = {0}
     queue = deque([0])
     while queue:
@@ -118,7 +120,7 @@ def _perm_bits(adjmat, perm):
 def canonical_form(g):
     """(n, min-adjacency bitstring) over degree-respecting relabelings."""
     n = g.n
-    adjset = g.adjacency()
+    adjset = g.adj
     adjmat = [[1 if v in adjset[u] else 0 for v in range(n)]
               for u in range(n)]
     degs = [len(a) for a in adjset]
@@ -157,12 +159,12 @@ def contains_induced(g, pattern):
     k = pattern.n
     if k > g.n:
         return False
-    pedges = len(pattern.edges)
+    pedges = len(edge_set(pattern))
     pdegs = degree_sequence(pattern)
     pform = canonical_form(pattern)
     for subset in combinations(range(g.n), k):
         sub = induced(g, subset)
-        if len(sub.edges) != pedges or degree_sequence(sub) != pdegs:
+        if len(edge_set(sub)) != pedges or degree_sequence(sub) != pdegs:
             continue
         if canonical_form(sub) == pform:
             return True
@@ -175,7 +177,7 @@ def is_complete_bipartite(g):
         return True
     if not is_connected(g):
         return False
-    adj = g.adjacency()
+    adj = g.adj
     color = {0: 0}
     stack = [0]
     while stack:
@@ -195,7 +197,7 @@ def is_star(g):
     """K_{1,k} for some k >= 0 (a single vertex counts)."""
     if g.n == 1:
         return True
-    adj = g.adjacency()
+    adj = g.adj
     centers = [v for v in range(g.n) if len(adj[v]) == g.n - 1]
     if not centers:
         return False

@@ -1,24 +1,25 @@
+from dataclasses import fields
 from itertools import permutations
 from math import comb, factorial
 
 import pytest
 
-from distideal.graph import (PATTERNS, all_pairs_distances, build_graph,
-                             canonical_form, contains_induced, emit_graph6,
-                             enumerate_connected, family, is_connected,
-                             parse_graph6)
+from distideal.graph import (PATTERNS, Graph, all_pairs_distances,
+                             build_graph, canonical_form, contains_induced,
+                             emit_graph6, enumerate_connected, family,
+                             is_connected, parse_graph6)
 from distideal.snf import distance_laplacian_matrix
-from graph_helpers import are_isomorphic, diameter
+from graph_helpers import are_isomorphic, diameter, edge_set
 
 
 def test_build_graph_basic():
     g = build_graph(2, [(0, 1)])
-    assert g.n == 2 and len(g.edges) == 1
+    assert g.n == 2 and len(edge_set(g)) == 1
 
 
 def test_build_graph_dedup():
     g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
-    assert len(g.edges) == 1
+    assert len(edge_set(g)) == 1
 
 
 def test_build_graph_loop_rejected():
@@ -35,7 +36,7 @@ def test_family_star_labeling():
     g = family("star", 3)
     assert g.n == 4
     # leaves 0..2, center 3
-    assert g.edges == {frozenset((i, 3)) for i in range(3)}
+    assert edge_set(g) == {frozenset((i, 3)) for i in range(3)}
 
 
 def test_family_tripartite_diamond():
@@ -64,11 +65,41 @@ def test_graph6_k3():
 
 def test_graph6_path():
     g = parse_graph6("Bg")
-    assert sorted((min(e), max(e)) for e in g.edges) == [(0, 1), (1, 2)]
+    assert sorted((min(e), max(e)) for e in edge_set(g)) == [(0, 1), (1, 2)]
 
 
 def test_graph6_round_trip():
     assert emit_graph6(parse_graph6("Bw")) == "Bw"
+
+
+def _handed_out_graphs():
+    """A graph from every constructor the package has."""
+    yield build_graph(4, [(0, 1), (1, 0), (2, 3)])
+    yield build_graph(1, [])
+    yield parse_graph6("Dhc")
+    for kind, params in (("complete", (4,)), ("complete_bipartite", (2, 3)),
+                         ("complete_tripartite", (1, 2, 2)),
+                         ("join_split", (2, 1, 2)), ("star", (3,)),
+                         ("path", (5,)), ("cycle", (5,))):
+        g = family(kind, *params)
+        yield g
+        yield g.induced([0, 2, 3])
+    yield from enumerate_connected(5)
+    yield from PATTERNS.values()
+
+
+def test_neighbour_sets_invariant():
+    # adj is shared by every reader, so it must be immutable
+    assert [f.name for f in fields(Graph)] == ["n", "adj"]
+    for g in _handed_out_graphs():
+        assert isinstance(g.adj, tuple) and len(g.adj) == g.n
+        for u, a in enumerate(g.adj):
+            assert type(a) is frozenset and u not in a
+            assert all(0 <= v < g.n and u in g.adj[v] for v in a)
+        with pytest.raises(AttributeError):
+            g.adj[0].add(1)
+        h = parse_graph6(emit_graph6(g))
+        assert h == g and hash(h) == hash(g)
 
 
 def test_graph6_malformed():
@@ -117,7 +148,7 @@ def test_distance_matrix_invariants():
             assert dm[u][u] == 0
             for v in range(n):
                 assert dm[u][v] == dm[v][u]
-                assert (dm[u][v] == 1) == (frozenset((u, v)) in g.edges)
+                assert (dm[u][v] == 1) == (v in g.adj[u])
                 for w in range(n):
                     assert dm[u][w] <= dm[u][v] + dm[v][w]
 
@@ -177,7 +208,7 @@ def _labeled_connected(n):
 
 
 def _aut_size(g):
-    adj = g.adjacency()
+    adj = g.adj
     cnt = 0
     for p in permutations(range(g.n)):
         if all((p[v] in adj[p[u]]) == (v in adj[u])

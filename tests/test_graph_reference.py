@@ -50,7 +50,7 @@ def test_connectivity_and_structure_match_reference():
 
 def test_induced_subgraphs_match_reference():
     for g in SMALL:
-        adj = g.adjacency()
+        adj = g.adj
         for k in range(1, g.n + 1):
             for subset in combinations(range(g.n), k):
                 sub = ref.induced(g, subset)

@@ -28,7 +28,7 @@ def _assert_chains_match(g, rings=(ZZ, QQ), indices=None):
             gens = [p.to_ring(ring) for p in gens_z]
             new = buchberger(gens, ring, m.vars)
             old = ref.buchberger(gens, ring, m.vars)
-            assert _render(new) == _render(old), (g.n, g.edges, i, ring)
+            assert _render(new) == _render(old), (g.n, g.adj, i, ring)
 
 
 def test_bases_match_reference_small_corpus():
@@ -166,6 +166,6 @@ def test_ideals_equal_matches_containment_chains():
                      for i in range(1, g.n + 1)]
             for a, b in combinations(chain, 2):
                 equal = ideals_equal(a, b)
-                assert equal == _contained_both_ways(a, b), (g.edges, ring)
+                assert equal == _contained_both_ways(a, b), (g.adj, ring)
                 outcomes.add(equal)
     assert outcomes == {True, False}

@@ -7,10 +7,11 @@ import pytest
 from distideal.graph import (all_pairs_distances, build_graph,
                              enumerate_connected, family, is_connected)
 from distideal.groebner import Ideal, ideals_equal
-from distideal.ideals import (Bezout, Point, certify, char_poly_distance,
-                              check, det_symbolic, distance_ideal,
-                              evaluate_ideal, generalized_distance_matrix,
-                              ideal_report, minors, trivial_count_phi)
+from distideal.ideals import (Bezout, Point, _mod, _vanishes, certify,
+                              char_poly_distance, check, det_symbolic,
+                              distance_ideal, evaluate_ideal,
+                              generalized_distance_matrix, ideal_report,
+                              minors, trivial_count_phi)
 from distideal.poly import QQ, ZZ, Polynomial, make_vars
 from distideal.snf import minors_gcd, smith_normal_form
 from graph_helpers import diameter
@@ -188,7 +189,7 @@ def _assert_evaluation_matches_minors_gcd(graphs, seed):
                  for u in range(g.n)]
             for i in range(1, g.n + 1):
                 assert evaluate_ideal(g, i, point) == minors_gcd(M, i), (
-                    g.edges, point, i)
+                    g.adj, point, i)
 
 
 def test_evaluate_ideal_matches_minors_gcd():
@@ -543,3 +544,22 @@ def test_check_rejects_wrong_prime():
                 assert not check(Point(q, cert.a), g, i, ZZ), (g, cert, q)
         # a point over F_p says nothing over QQ
         assert not check(cert, g, i, QQ)
+
+
+def test_vanishes_matches_minors_gcd():
+    # _vanishes reads Δ_i off the Smith form; the oracle takes the gcd of
+    # every i-minor by Laplace expansion
+    rnd = random.Random(12)
+    outcomes = set()
+    for g in enumerate_connected(5):
+        dm = all_pairs_distances(g)
+        for _ in range(4):
+            a = tuple(rnd.randint(-3, 3) for _ in range(g.n))
+            M = [[a[u] if u == v else dm[u][v] for v in range(g.n)]
+                 for u in range(g.n)]
+            for p in (0, 2, 3, 5):
+                for i in range(1, g.n + 1):
+                    want = _mod(minors_gcd(M, i), p) == 0
+                    assert _vanishes(dm, a, p, i) == want, (g.adj, a, p, i)
+                    outcomes.add(want)
+    assert outcomes == {False, True}
