@@ -2,20 +2,22 @@
 computed by one Buchberger loop, and the Ideal that owns its reduced
 basis and answers reduction, membership and triviality questions.
 
-The ring decides only the coefficient rules: normalization, the
-reduction quotient and the S- and gcd-polynomials.  Over ZZ, reduction
-is Euclidean on coefficients: a term c*m is reduced by g whenever
-lm(g) | m and c has a nonzero quotient by lc(g).  A divisor with a
-negative leading coefficient is used as -g, so the coefficient
-remainder stays in [0, |lc(g)|).  Completed bases are interreduced and
-rendered deterministically.
+Both rings run on integer polynomials with positive leading
+coefficients and one reduction loop, ``_reduce``: Euclidean on the
+coefficients over ZZ, fraction-free over QQ, where the working basis is
+primitive.  Every QQ intermediate is a nonzero multiple of the monic one
+a field engine would hold, so the pairs, their order and the reduced
+bases are the same; each completed QQ basis is made monic once, and
+public reduction over QQ divides its remainder once.  Completed bases
+are interreduced and rendered deterministically.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from operator import le, sub
 
 from .poly import (QQ, ZZ, Polynomial, descending_key, mono_div,
@@ -41,45 +43,58 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def _sign_normalize(p):
-    _, lc = p.leading()
-    if (p.ring == ZZ and lc < 0):
-        return -p
-    if p.ring == QQ:
-        return p * (1 / lc)
-    return p
+def _clear(p):
+    """(d*p as an integer polynomial, d), d the least common denominator
+    of p's coefficients; an integer polynomial comes back as itself."""
+    if p.ring == ZZ:
+        return p, 1
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    return Polynomial._make(ZZ, p.vars, {
+        m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}), d
 
 
-def reduce_poly(f, basis):
-    """Normal form of f against a sequence of polynomials, reduced
-    in place on one term dict whose leading term is the heap's top."""
-    if f.is_zero():
-        return f
-    field = f.ring == QQ
-    lts = []
-    for g in basis:
-        if g.terms:
-            # floor division by a negative lc(g) need not shrink the
-            # coefficient, and the reduction can cycle
-            if g.leading()[1] < 0:
-                g = -g
-            lts.append(g.leading() + (g.terms.items(),))
-    h = dict(f.terms)
+def _normalize(p, field):
+    """p with a positive leading coefficient; over QQ (``field``) also
+    divided by its content, so that it is primitive."""
+    d = gcd(*p.terms.values()) if field else 1
+    d = -d if p.leading()[1] < 0 else d
+    return p if d == 1 else Polynomial._make(
+        ZZ, p.vars, {m: c // d for m, c in p.terms.items()})
+
+
+def _divisors(polys):
+    """(lm, lc, term items) of each polynomial, as ``_reduce`` reads them."""
+    return [p.leading() + (p.terms.items(),) for p in polys]
+
+
+def _reduce(h, divisors, field):
+    """Reduce the integer term dict h in place, its leading term c*m at
+    the heap's top, by the first divisor g (lc g > 0) with lm g | m: over
+    ZZ h -= (c // lc g)*x^s*g, where a zero quotient tries the next g;
+    over QQ (``field``) h <- (lc g / d)*h - (c / d)*x^s*g, d = gcd(c, lc g).
+    Returns the remainder and the multiplier of the normal form it is."""
     heap = [(descending_key(m), m) for m in h]
     heapq.heapify(heap)
     remainder = {}
+    mult = 1
     while heap:
         m = heap[0][1]
         c = h.get(m)
         if c is None:
             heapq.heappop(heap)
             continue
-        for gm, gc, gterms in lts:
+        for gm, gc, gterms in divisors:
             if not all(map(le, gm, m)):  # mono_divides, inlined
                 continue
-            # over ZZ a zero quotient leaves c*m to the next candidate
-            q = c / gc if field else c // gc
-            if not q:
+            if field:
+                d = gcd(c, gc)
+                q, a = c // d, gc // d
+                if a != 1:
+                    mult *= a
+                    for part in h, remainder:
+                        for t in part:
+                            part[t] *= a
+            elif not (q := c // gc):
                 continue
             subtract_term_multiple(h, heap, q, tuple(map(sub, m, gm)),
                                    gterms)
@@ -88,19 +103,35 @@ def reduce_poly(f, basis):
             remainder[m] = c
             del h[m]
             heapq.heappop(heap)
+    return remainder, mult
+
+
+def reduce_poly(f, basis):
+    """Normal form of f against a sequence of polynomials, by the integer
+    loop on cleared denominators; over QQ divided once at the end."""
+    if f.is_zero():
+        return f
+    h, den = _clear(f)
+    # a divisor with lc < 0 is used as -g: floor division by a negative
+    # lc need not shrink the coefficient, and the reduction can cycle
+    divisors = _divisors(_normalize(_clear(g)[0], False)
+                         for g in basis if g.terms)
+    field = f.ring == QQ
+    remainder, mult = _reduce(dict(h.terms), divisors, field)
+    if field:
+        den *= mult
+        remainder = {m: Fraction(c, den) for m, c in remainder.items()}
     return Polynomial._make(f.ring, f.vars, remainder)
 
 
 def s_polynomial(f, g):
+    """S-polynomial of integer polynomials, by the lcm of their lcs."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of zero polynomial")
     fm, fc = f.leading()
     gm, gc = g.leading()
     L = mono_lcm(fm, gm)
-    if f.ring == QQ:
-        return (f.term_mul(mono_div(L, fm), 1 / fc)
-                - g.term_mul(mono_div(L, gm), 1 / gc))
-    l = abs(fc * gc) // gcd(abs(fc), abs(gc))
+    l = lcm(fc, gc)
     return (f.term_mul(mono_div(L, fm), l // fc)
             - g.term_mul(mono_div(L, gm), l // gc))
 
@@ -124,32 +155,33 @@ def _unit_basis(ring, variables):
 
 
 def _minimize_and_interreduce(polys, ring):
+    """The reduced basis of the loop's polynomials, made monic over QQ."""
     if not polys:
         return []
-    polys = sorted({_sign_normalize(p) for p in polys},
-                   key=lambda p: (monomial_key(p.leading()[0]),
-                                  p.leading()[1],
-                                  p.sort_key()))
+    field = ring == QQ
+    polys = sorted(polys, key=lambda p: (monomial_key(p.leading()[0]),
+                                         p.leading()[1], p.sort_key()))
     kept = []
     for p in polys:
         pm, pc = p.leading()
-        redundant = False
-        for q in kept:
-            qm, qc = q.leading()
-            if mono_divides(qm, pm) and pc % qc == 0:
-                redundant = True
-                break
-        if not redundant:
+        # over QQ a multiple of a leading monomial is enough
+        if not any(mono_divides(qm, pm) and (field or pc % qc == 0)
+                   for qm, qc in map(Polynomial.leading, kept)):
             kept.append(p)
     # one pass of tail reduction: the leading terms are fixed by now, so
     # a tail reduced against them stays reduced
     for i, p in enumerate(kept):
         pm, pc = p.leading()
-        lt = Polynomial(ring, p.vars, {pm: pc})
-        tail = reduce_poly(p - lt, kept[:i] + kept[i + 1:])
-        kept[i] = _sign_normalize(lt + tail)
+        tail, mult = _reduce({m: c for m, c in p.terms.items() if m != pm},
+                             _divisors(kept[:i] + kept[i + 1:]), field)
+        tail[pm] = pc * mult
+        kept[i] = _normalize(Polynomial._make(ZZ, p.vars, tail), field)
     kept.sort(key=lambda p: (monomial_key(p.leading()[0]),
                              p.sort_key()))
+    if field:
+        kept = [Polynomial._make(QQ, p.vars, {
+            m: Fraction(c, p.leading()[1]) for m, c in p.terms.items()})
+                for p in kept]
     return kept
 
 
@@ -160,33 +192,39 @@ def buchberger(gens, ring, variables):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
+    field = ring == QQ
     # over QQ every nonzero constant is a unit
-    is_unit = (Polynomial.is_constant if ring == QQ
+    is_unit = (Polynomial.is_constant if field
                else Polynomial.is_unit_constant)
     if any(map(is_unit, gens)):
         return _unit_basis(ring, variables)
-    start = sorted({_sign_normalize(g.to_ring(ring)) for g in gens},
-                   key=lambda p: p.sort_key())
+    start = {_normalize(_clear(g)[0] if field else g.to_ring(ZZ), field)
+             for g in gens}
+    # over QQ in the order of the monic forms: every coefficient in the
+    # sort key is scaled by scale / lc, the same for all, and stays integral
+    scale = lcm(*(p.leading()[1] for p in start)) if field else 1
+    start = sorted(start, key=lambda p: tuple(
+        (k, c * scale // p.leading()[1] if field else c)
+        for k, c in p.sort_key()))
 
     G = []
-    lts = []
+    divisors = []
     queue = []  # (monomial_key(lcm), counter, i, j, kind): lowest degree first
     counter = 0
 
     def push_pairs(idx):
         nonlocal counter
-        gm, gc = lts[idx]
+        gm, gc, _ = divisors[idx]
         for j in range(idx):
-            hm, hc = lts[j]
+            hm, hc, _ = divisors[j]
             L = mono_lcm(gm, hm)
             key = monomial_key(L)
-            # product criterion: skip when the leading monomials and the
-            # leading coefficients are coprime; over QQ every lc is 1
-            if L != mono_mul(gm, hm) or (gc != 1 and gcd(gc, hc) != 1):
+            # product criterion: skip when the leading monomials are
+            # coprime, over ZZ only when the leading coefficients are too
+            if L != mono_mul(gm, hm) or not (field or gcd(gc, hc) == 1):
                 heapq.heappush(queue, (key, counter, j, idx, "s"))
                 counter += 1
-            # never over QQ, where every leading coefficient is 1
-            if gc % hc and hc % gc:
+            if not field and gc % hc and hc % gc:
                 heapq.heappush(queue, (key, counter, j, idx, "g"))
                 counter += 1
 
@@ -200,14 +238,15 @@ def buchberger(gens, ring, variables):
             yield pair(G[i], G[j])
 
     for p in candidates():
-        h = reduce_poly(p, G)
-        if h.is_zero():
+        h, _ = _reduce(dict(p.terms), divisors, field)
+        if not h:
             continue
+        h = Polynomial._make(ZZ, variables, h)
         if is_unit(h):
             return _unit_basis(ring, variables)
-        h = _sign_normalize(h)
+        h = _normalize(h, field)
         G.append(h)
-        lts.append(h.leading())
+        divisors += _divisors([h])
         push_pairs(len(G) - 1)
 
     return _minimize_and_interreduce(G, ring)
@@ -253,18 +292,16 @@ class Ideal:
 
     def verify(self):
         """Check the basis invariants; raises AssertionError on failure."""
-        polys = self.basis
+        polys = [_clear(p)[0] for p in self.basis]
         for g in self.gens:
-            assert self.reduce(g).is_zero(), \
+            assert self.contains(g), \
                 "generator does not reduce to zero: %s" % g.render()
         for i in range(len(polys)):
             for j in range(i):
-                s = s_polynomial(polys[i], polys[j])
-                assert reduce_poly(s, polys).is_zero(), \
+                assert self.contains(s_polynomial(polys[i], polys[j])), \
                     "S-polynomial does not reduce to zero"
                 if self.ring == ZZ:
-                    gp = gcd_polynomial(polys[i], polys[j])
-                    assert reduce_poly(gp, polys).is_zero(), \
+                    assert self.contains(gcd_polynomial(polys[i], polys[j])), \
                         "gcd-polynomial does not reduce to zero"
         if self.ring == ZZ:
             assert all(p.leading()[1] > 0 for p in polys)

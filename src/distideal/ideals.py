@@ -112,25 +112,27 @@ def minors(matrix, i):
 # ---------------------------------------------------------------------------
 # distance ideals
 
-@dataclass
 class Step:
     """I_i of the distance-ideal chain of ``matrix`` over ``ring``.
     ``certify`` runs when the step is built, and the ideal of the
     i-minors is computed on first read; the verdict comes from the
     certificate when there is one."""
-    matrix: SymbolicMatrix
-    index: int
-    ring: str
 
-    def __post_init__(self):
-        self.certificate = certify(self.matrix, self.index, self.ring)
+    __slots__ = ("matrix", "index", "ring", "certificate", "_ideal")
 
-    @cached_property
+    def __init__(self, matrix, index, ring):
+        self.matrix, self.index, self.ring = matrix, index, ring
+        self.certificate = certify(matrix, index, ring)
+        self._ideal = None
+
+    @property
     def ideal(self):
-        # minors are integer polynomials; buchberger converts them to
-        # the ring when it runs
-        m = self.matrix
-        return Ideal(self.ring, m.vars, minors(m, self.index))
+        # minors are integer polynomials, which buchberger takes as they
+        # are in both rings
+        if self._ideal is None:
+            m = self.matrix
+            self._ideal = Ideal(self.ring, m.vars, minors(m, self.index))
+        return self._ideal
 
     @property
     def trivial(self):

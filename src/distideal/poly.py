@@ -2,9 +2,10 @@
 
 Monomials are dense exponent tuples indexed by a fixed variable registry
 (a tuple of names).  Coefficients are Python ints over ZZ and Fractions
-over QQ, so arithmetic never overflows or rounds.  Terms are ordered by
-graded reverse lexicographic order (grevlex), the only term order: the
-triviality of an ideal does not depend on it.
+over QQ, given as ints or Fractions only, so arithmetic never overflows
+or rounds; the Groebner engine computes over QQ on integer polynomials.
+Terms are ordered by graded reverse lexicographic order (grevlex), the
+only term order: the triviality of an ideal does not depend on it.
 """
 
 from __future__ import annotations
@@ -55,17 +56,15 @@ def descending_key(mono):
 
 
 def _coerce(ring, c):
-    if ring == ZZ:
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError("non-integer coefficient %s over ZZ" % c)
-            return int(c)
-        if isinstance(c, int):
-            return c
-        raise TypeError("bad ZZ coefficient %r" % (c,))
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("bad %s coefficient %r" % (ring, c))
     if ring == QQ:
         return Fraction(c)
-    raise ValueError("unknown ring %r" % (ring,))
+    if ring != ZZ:
+        raise ValueError("unknown ring %r" % (ring,))
+    if c.denominator != 1:
+        raise ValueError("non-integer coefficient %s over ZZ" % c)
+    return int(c)
 
 
 class Polynomial:

@@ -176,15 +176,17 @@ def test_qq_ideal_keeps_integer_generators(monkeypatch):
 
 def test_no_s_pair_with_coprime_leading_terms(monkeypatch):
     # the product criterion: over ZZ the leading coefficients must be
-    # coprime too, over QQ they are all 1
+    # coprime too; over QQ the loop's integer polynomials have leading
+    # coefficients other than 1, which the criterion ignores
     s_polynomial = groebner.s_polynomial
     formed = []
+    run = {}
 
     def checked(f, g):
         (fm, fc), (gm, gc) = f.leading(), g.leading()
         assert (mono_lcm(fm, gm) != mono_mul(fm, gm)
-                or (f.ring == ZZ and gcd(fc, gc) != 1)), (f, g)
-        formed.append(1)
+                or (run["ring"] == ZZ and gcd(fc, gc) != 1)), (f, g)
+        formed.append(run["ring"])
         return s_polynomial(f, g)
 
     monkeypatch.setattr(groebner, "SELF_CHECK", False)
@@ -194,5 +196,6 @@ def test_no_s_pair_with_coprime_leading_terms(monkeypatch):
         for i in range(1, g.n + 1):
             gens = minors(m, i)
             for ring in (ZZ, QQ):
+                run["ring"] = ring
                 Ideal(ring, m.vars, gens).basis
-    assert formed
+    assert set(formed) == {ZZ, QQ}

@@ -186,6 +186,17 @@ def test_render():
     assert (x(0) ** 2).render() == "x0^2"
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("coeff", [0.1, 2.0, "1/3", None],
+                         ids=["float", "integral-float", "str", "None"])
+def test_rejects_non_exact_coefficients(ring, coeff):
+    # a float would be read as its binary expansion, a string parsed
+    with pytest.raises(TypeError):
+        Polynomial(ring, V, {(1, 0, 0): coeff})
+    with pytest.raises(TypeError):
+        Polynomial.const(ring, V, coeff)
+
+
 def test_zz_rejects_fractions():
     with pytest.raises((TypeError, ValueError)):
         Polynomial.const(ZZ, V, Fraction(1, 2))
