@@ -2,8 +2,9 @@
 shortest-path distances, induced-pattern detection and exhaustive
 enumeration of small connected graphs up to isomorphism.
 
-Everything here is desk-scale (n <= 62 for graph6, n <= 7 for the
-corpus), so brute force is used throughout for its obvious correctness.
+Everything here is desk-scale (n <= 62 for every graph, the most that
+graph6 encodes in one byte; n <= 7 for the corpus), so brute force is
+used throughout for its obvious correctness.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
+MAX_N = 62
 MAX_ENUM_N = 7
 
 
@@ -31,6 +33,8 @@ class Graph:
 def build_graph(n, edges):
     if n < 1:
         raise ValueError("vertex count must be positive")
+    if n > MAX_N:
+        raise ValueError("graphs with n > %d vertices unsupported" % MAX_N)
     adj = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:
@@ -46,43 +50,43 @@ def build_graph(n, edges):
 # families
 
 def family(kind, *params):
+    # the edges go to build_graph as generators, so that its vertex
+    # bound comes before any of them is made
     if kind == "complete":
         (n,) = _sizes(kind, params, 1)
-        return build_graph(n, combinations(range(n), 2))
+        return build_graph(n, ((i, j) for i in range(n)
+                               for j in range(i + 1, n)))
     if kind == "complete_bipartite":
         m, n = _sizes(kind, params, 2)
-        return build_graph(m + n, [(i, m + j) for i in range(m)
-                                   for j in range(n)])
+        return build_graph(m + n, ((i, m + j) for i in range(m)
+                                   for j in range(n)))
     if kind == "complete_tripartite":
         m, n, o = _sizes(kind, params, 3)
         parts = [range(0, m), range(m, m + n), range(m + n, m + n + o)]
-        edges = []
-        for a, b in combinations(parts, 2):
-            edges.extend((i, j) for i in a for j in b)
-        return build_graph(m + n + o, edges)
+        return build_graph(m + n + o, ((i, j) for a, b in
+                                       combinations(parts, 2)
+                                       for i in a for j in b))
     if kind == "join_split":
         # complement-of-K_n joined to the disjoint union K_m + K_o
         n, m, o = _sizes(kind, params, 3)
-        ind = range(0, n)
-        cl1 = range(n, n + m)
-        cl2 = range(n + m, n + m + o)
-        edges = list(combinations(cl1, 2)) + list(combinations(cl2, 2))
-        edges += [(i, j) for i in ind for j in list(cl1) + list(cl2)]
-        return build_graph(n + m + o, edges)
+        cliques = (range(n, n + m), range(n + m, n + m + o))
+        return build_graph(n + m + o, chain(
+            ((i, j) for c in cliques for i in c for j in range(i + 1, c.stop)),
+            ((i, j) for i in range(n) for c in cliques for j in c)))
     if kind == "star":
         # m leaves 0..m-1 and center m, so the generalized distance
         # matrix has the leaves-first block layout used by the closed
         # star formulas.
         (m,) = _sizes(kind, params, 1)
-        return build_graph(m + 1, [(i, m) for i in range(m)])
+        return build_graph(m + 1, ((i, m) for i in range(m)))
     if kind == "path":
         (n,) = _sizes(kind, params, 1)
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        return build_graph(n, ((i, i + 1) for i in range(n - 1)))
     if kind == "cycle":
         (n,) = _sizes(kind, params, 1)
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
     raise ValueError("unknown family %r" % (kind,))
 
 
@@ -142,7 +146,7 @@ def _from_code(n, bits):
 
 
 # ---------------------------------------------------------------------------
-# graph6 (McKay encoding), n <= 62
+# graph6 (McKay encoding), n <= MAX_N
 
 def parse_graph6(text):
     text = text.strip()
@@ -154,8 +158,8 @@ def parse_graph6(text):
     n = data[0]
     if n == 0:
         raise ValueError("empty graph (n=0) unsupported")
-    if n > 62:
-        raise ValueError("graph6 with n > 62 unsupported")
+    if n > MAX_N:
+        raise ValueError("graph6 with n > %d unsupported" % MAX_N)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(data) - 1 != need:
@@ -171,8 +175,8 @@ def parse_graph6(text):
 
 def emit_graph6(g):
     n = g.n
-    if n > 62:
-        raise ValueError("graph6 with n > 62 unsupported")
+    if n > MAX_N:
+        raise ValueError("graph6 with n > %d unsupported" % MAX_N)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     bits = _code(g.adj, range(n)) << (6 * need - nbits)

@@ -12,7 +12,6 @@ from itertools import combinations
 
 import pytest
 
-from distideal import groebner
 from distideal.classify import corpus_report
 from distideal.families import verification_table
 from distideal.graph import (build_graph, contains_induced,
@@ -32,13 +31,27 @@ C4 = family("cycle", 4)
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _self_check_on():
+def verified_bases():
     # criterion 10: every basis completed while this module runs is
-    # verified (S-polynomials, gcd-polynomials, generator membership)
-    old = groebner.SELF_CHECK
-    groebner.SELF_CHECK = True
-    yield
-    groebner.SELF_CHECK = old
+    # verified (generators, S-polynomials and gcd-polynomials reduce to
+    # zero); the rings of the verified bases are collected
+    basis = Ideal.basis
+    rings = []
+
+    def checked(ideal):
+        fresh = ideal._basis is None
+        result = basis.fget(ideal)
+        if fresh:
+            assert ideal.verify(), "basis fails verification: %r" % (
+                [g.render() for g in ideal.gens],)
+            rings.append(ideal.ring)
+        return result
+
+    Ideal.basis = property(checked, doc=basis.__doc__)
+    try:
+        yield rings
+    finally:
+        Ideal.basis = basis
 
 
 def _report(num, label, fn):
@@ -253,14 +266,16 @@ def test_criterion_09_negative_control():
     _report(9, "negative control (documented discrepancy)", body)
 
 
-def test_criterion_10_groebner_self_checks():
+def test_criterion_10_groebner_self_checks(verified_bases):
     def body():
-        assert groebner.SELF_CHECK  # active throughout criteria 1-8
-        # re-verify representative completed bases explicitly
+        # the module fixture verifies every completed basis; complete
+        # representative bases in both rings here, so that this criterion
+        # checks some when it runs alone
         scenarios = [(CLAW, ZZ), (C4, ZZ), (C4, QQ),
                      (family("path", 4), ZZ),
                      (build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)]), ZZ)]
         for g, ring in scenarios:
             for i in range(1, g.n + 1):
-                assert distance_ideal(g, i, ring).ideal.verify()
+                distance_ideal(g, i, ring).ideal.basis
+        assert {ZZ, QQ} <= set(verified_bases)
     _report(10, "Groebner engine self-checks", body)

@@ -224,6 +224,15 @@ def test_family_spec_wrong_parameter_count(capsys):
     assert err == "error: family parameters must be integers, got 'a'\n"
 
 
+def test_graph_over_vertex_bound(capsys, tmp_path):
+    # rejected before any work, with the same message for every source
+    for argv in (["snf", "--family", "path:63"],
+                 ["snf", "--edges-file", _edges_file(tmp_path, "63\n0 1\n")]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: graphs with n > 62 vertices unsupported\n"
+
+
 def _edges_file(tmp_path, text):
     path = tmp_path / "edges.txt"
     path.write_text(text)

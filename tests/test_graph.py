@@ -32,6 +32,23 @@ def test_build_graph_range_rejected():
         build_graph(2, [(0, 2)])
 
 
+def test_vertex_bound_before_any_work():
+    assert build_graph(62, []).n == 62
+
+    def unread():
+        raise AssertionError("edges read before the vertex bound")
+        yield
+
+    with pytest.raises(ValueError, match="n > 62"):
+        build_graph(63, unread())
+    for kind, params in (("path", (63,)), ("path", (10 ** 5,)),
+                         ("complete", (10 ** 5,)),
+                         ("complete_bipartite", (300, 300)),
+                         ("join_split", (300, 300, 1))):
+        with pytest.raises(ValueError, match="n > 62"):
+            family(kind, *params)
+
+
 def test_family_star_labeling():
     g = family("star", 3)
     assert g.n == 4

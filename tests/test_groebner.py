@@ -8,7 +8,8 @@ from distideal.groebner import (Ideal, buchberger,
                                 gcd_polynomial, ideals_equal, reduce_poly,
                                 s_polynomial)
 from distideal.ideals import generalized_distance_matrix, minors
-from distideal.poly import QQ, ZZ, Polynomial, make_vars, mono_lcm, mono_mul
+from distideal.poly import (QQ, ZZ, Polynomial, make_vars, mono_lcm,
+                            mono_mul, monomial_key)
 
 V = make_vars(2)
 
@@ -133,6 +134,52 @@ def test_basis_self_verify_qq():
     assert Ideal(QQ, V, gens).verify()
 
 
+def _with_basis(ring, gens, basis):
+    """The ideal of ``gens``, claiming ``basis`` as its basis."""
+    fake = Ideal(ring, V, gens)
+    fake._basis = tuple(basis)
+    return fake
+
+
+VERIFY_CASES = [
+    (ZZ, [x() * y() - 1, x() ** 2 - y(), 2 * y() ** 2 - 3]),
+    (QQ, [x(QQ) * y(QQ) - 1, x(QQ) ** 2 - y(QQ)]),
+]
+
+
+@pytest.mark.parametrize("ring,gens", VERIFY_CASES)
+def test_verify_rejects_dropped_element(ring, gens):
+    # a reduced basis less one element is not a basis of the ideal
+    basis = Ideal(ring, V, gens).basis
+    assert len(basis) > 1
+    for k in range(len(basis)):
+        fake = _with_basis(ring, gens, basis[:k] + basis[k + 1:])
+        assert fake.verify() is False, k
+
+
+@pytest.mark.parametrize("ring,gens", VERIFY_CASES)
+def test_verify_rejects_changed_coefficient(ring, gens):
+    # doubling the coefficient of the last term (the leading one of a
+    # constant) leaves a polynomial outside the ideal
+    basis = Ideal(ring, V, gens).basis
+    for k, p in enumerate(basis):
+        terms = dict(p.terms)
+        m = min(terms, key=monomial_key)
+        terms[m] *= 2
+        changed = Polynomial._make(ring, V, terms)
+        fake = _with_basis(ring, gens, basis[:k] + (changed,) + basis[k + 1:])
+        assert fake.verify() is False, k
+
+
+def test_verify_needs_gcd_pairs():
+    # every generator and the only S-pair of (2x0, 3x1) reduce to zero;
+    # the gcd-pair x0*x1 does not, and the true basis holds it
+    gens = [2 * x(), 3 * y()]
+    assert [p.render() for p in Ideal(ZZ, V, gens).basis] == [
+        "3*x1", "2*x0", "x0*x1"]
+    assert _with_basis(ZZ, gens, gens).verify() is False
+
+
 def test_determinism():
     gens = [2 * x() * y() - 4, 3 * x() - y(), y() ** 2 - 2]
     r1 = [p.render() for p in Ideal(ZZ, V, gens).basis]
@@ -189,7 +236,6 @@ def test_no_s_pair_with_coprime_leading_terms(monkeypatch):
         formed.append(run["ring"])
         return s_polynomial(f, g)
 
-    monkeypatch.setattr(groebner, "SELF_CHECK", False)
     monkeypatch.setattr(groebner, "s_polynomial", checked)
     for g in enumerate_connected(5):
         m = generalized_distance_matrix(g)
