@@ -45,15 +45,18 @@ def _load_graph(args):
 
 def _read_edges_file(path):
     """A header line with the vertex count, then one line ``u v`` per
-    edge; blank lines and lines starting with # are skipped."""
+    edge; blank lines and lines starting with # are skipped.  The edges
+    go to build_graph as a generator, so that its vertex bound comes
+    before any edge line is read."""
     with open(path) as fh:
-        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1)
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise CliError("empty edges file")
-    (n,) = _ints(path, *lines[0], 1, "the vertex count")
-    return build_graph(n, [_ints(path, no, words, 2, "an edge u v")
-                           for no, words in lines[1:]])
+        lines = ((no, ln.split()) for no, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.lstrip().startswith("#"))
+        header = next(lines, None)
+        if header is None:
+            raise CliError("empty edges file")
+        (n,) = _ints(path, *header, 1, "the vertex count")
+        return build_graph(n, (_ints(path, no, words, 2, "an edge u v")
+                               for no, words in lines))
 
 
 def _ints(path, no, words, count, what):

@@ -2,9 +2,13 @@
 graphs, the shifted all-ones matrices diag(X) - m*I + m*J, and stars,
 verified against brute-force minors ideals.
 
+The complete graphs and stars are checked on D(G, X) built from the
+graph module's own distances; det D(K_n, X) is the m = 1 case of
+det(diag(X) - m*I + m*J).
+
 Star variables are x1..xm for the leaves and y for the center, matching
-the leaves-first matrix layout; the graph module's star labeling maps
-x_{i+1} -> x_i and y -> x_m.
+the graph module's leaves-first star labeling (leaves 0..m-1, center
+m), which maps x_{i+1} -> x_i and y -> x_m.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .graph import all_pairs_distances, family
 from .groebner import Ideal, ideals_equal
 from .ideals import SymbolicMatrix, det_symbolic, minors
 from .poly import ZZ, Polynomial
@@ -48,13 +53,10 @@ def _subset_products(factors, size, one):
 def complete_ideal_gens(n, i):
     if not (1 <= i <= n):
         raise ValueError("index out of range")
-    variables = _vars_x(n)
-    one, xs = _gens_ring(variables)
-    shifted = [x - 1 for x in xs]
     if i < n:
-        return _subset_products(shifted, i - 1, one)
-    full, = _subset_products(shifted, n, one)
-    return [full + sum(_subset_products(shifted, n - 1, one))]
+        one, xs = _gens_ring(_vars_x(n))
+        return _subset_products([x - 1 for x in xs], i - 1, one)
+    return [mdiag_det(n, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +101,7 @@ def star_vars(m):
 def star_matrix(m):
     """Generalized distance matrix of the star with m leaves,
     leaves first and center last."""
-    leaves = [tuple(0 if v == u else (1 if v == m else 2)
-                    for v in range(m + 1)) for u in range(m)]
-    return SymbolicMatrix(star_vars(m), tuple(leaves) + ((1,) * m + (0,),))
+    return SymbolicMatrix(star_vars(m), all_pairs_distances(family("star", m)))
 
 
 def star_det(m):
@@ -156,8 +156,9 @@ def _family_row(kind, n, m):
     """(within the desk-scale bounds, matrix, closed-form determinant or
     None, indices, closed-form generators of index k) of one instance."""
     if kind == "complete":
-        return (n <= MAX_VERIFY_N, mdiag_matrix(n, 1), None,
-                range(1, n + 1), lambda k: complete_ideal_gens(n, k))
+        mat = SymbolicMatrix(_vars_x(n), all_pairs_distances(family(kind, n)))
+        return (n <= MAX_VERIFY_N, mat, None, range(1, n + 1),
+                lambda k: complete_ideal_gens(n, k))
     if kind == "mdiag":
         return (n <= MAX_VERIFY_N and m <= MAX_VERIFY_M, mdiag_matrix(n, m),
                 lambda: mdiag_det(n, m), range(1, n),

@@ -1,8 +1,9 @@
 """Groebner bases over QQ and strong Groebner bases over ZZ in grevlex,
 computed by one Buchberger loop, and the Ideal that owns its reduced
 basis and answers reduction, membership and triviality questions.
-``Ideal.verify`` re-checks a basis and returns a verdict: every
-generator, S-polynomial and, over ZZ, gcd-polynomial reduces to zero.
+``Ideal.verify`` re-checks a basis B and returns a verdict: every
+generator, S-polynomial and, over ZZ, gcd-polynomial reduces to zero,
+so the ideal lies in (B) and B is a Groebner basis of (B).
 
 Both rings run on integer polynomials with positive leading
 coefficients and one reduction loop, ``_reduce``: Euclidean on the
@@ -284,9 +285,15 @@ class Ideal:
         return self.basis == (Polynomial.const(self.ring, self.vars, 1),)
 
     def verify(self):
-        """Whether the basis is a (strong, over ZZ) Groebner basis of the
-        ideal: every generator, S-polynomial and, over ZZ, gcd-polynomial
-        of the cleared basis reduces to zero against it."""
+        """Whether every generator, S-polynomial and, over ZZ,
+        gcd-polynomial of the cleared basis B reduces to zero against B.
+        That shows the ideal lies in (B) and B is a (strong, over ZZ)
+        Groebner basis of (B); it does not show that (B) lies in the
+        ideal, so the unit basis passes for any ideal.  A basis element
+        that is zero, over other variables or in the other ring fails."""
+        if any(p.is_zero() or p.ring != self.ring or p.vars != self.vars
+               for p in self.basis):
+            return False
         polys = [_clear(p)[0] for p in self.basis]
         if any(p.leading()[1] <= 0 for p in polys):
             return False  # _reduce divides by positive leading coefficients

@@ -2,6 +2,10 @@
 minors, the distance-ideal chain, integer-point evaluation, and the
 distance characteristic polynomial.
 
+D(G, X) is built one way, as a ``SymbolicMatrix`` that makes its one
+integer minor memo when it is made, and Δ_i at a point is read off the
+Smith form by one routine, ``_delta``.
+
 One walker, ``ideal_chain``, serves every distance-ideal verdict.  It
 builds one symbolic matrix per graph and one ``Step`` per index i.  A
 step's verdict comes from ``certify`` when it finds a certificate that
@@ -13,9 +17,7 @@ the step's ideal.  ``distance_ideal``, ``trivial_count_phi`` (Φ) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, islice, takewhile
 from math import lcm
 from operator import attrgetter
@@ -31,25 +33,19 @@ from .poly import QQ, ZZ, Polynomial, make_vars
 MAX_MINOR_N = 8
 
 
-@dataclass(frozen=True)
 class SymbolicMatrix:
     """diag(vars) + const: an integer matrix with the variable vars[k]
     added to its k-th diagonal entry.  Every minor is read off the
-    integer minors of ``const``.
+    integer minors of ``const`` by ``det``, its one memo.
 
     ``const`` is symmetric (a distance matrix, or one of the family
     matrices), so minor(C, R) = minor(R, C)."""
-    vars: tuple
-    const: tuple  # tuple of tuples of int
 
-    @property
-    def n(self):
-        return len(self.const)
+    __slots__ = ("vars", "const", "n", "det")
 
-    @cached_property
-    def laplace(self):
-        """The integer minor memo of ``const``, shared by every minor."""
-        return snf.LaplaceMemo(self.const)
+    def __init__(self, vars, const):
+        self.vars, self.const, self.n = vars, const, len(const)
+        self.det = snf.LaplaceMemo(const).det
 
     def minor(self, rsub, csub):
         """Determinant of rows ``rsub`` and columns ``csub`` (sorted).
@@ -58,7 +54,7 @@ class SymbolicMatrix:
         coefficient of the product over a set S of them is the integer
         minor without the rows and columns S, signed by the positions
         of S in rsub and csub.  S = {} gives the constant term."""
-        det, n = self.laplace.det, self.n
+        det, n = self.det, self.n
         d = det(rsub, csub)
         terms = {(0,) * n: d} if d else {}
         common = [(k, pr + csub.index(k)) for pr, k in enumerate(rsub)
@@ -204,7 +200,7 @@ def certify(m, i, ring=ZZ):
     candidate point for each prime p dividing the gcd g_2 of the
     constant 2-minors, or one rational candidate when g_2 = 0 (over QQ
     that is the only case left)."""
-    det = m.laplace.det
+    det = m.det
     pairs, coeffs, g = [], [], 0
     for pair in _constant_pairs(m.n, i):
         d = det(*pair)
@@ -231,34 +227,38 @@ def check(cert, g, i, ring=ZZ):
     """Whether ``cert`` proves its verdict on I_i of g over ``ring``.
 
     The minors, or for a point their gcd Δ_i from the Smith form, are
-    recomputed from D(G) with exact arithmetic; neither the minor memo
-    of ``certify`` nor the Groebner engine is used."""
-    dm = all_pairs_distances(g)
+    recomputed from D(G) with exact arithmetic, on a matrix of its own;
+    neither the minor memo of ``certify`` nor the Groebner engine is
+    used.  Only exact numbers count: the coefficients are ints over ZZ
+    and ints or Fractions over QQ, p is an int, and the coordinates of
+    a point are ints for p > 0 and ints or Fractions for p = 0."""
     n = g.n
     if not 1 <= i <= n:
         return False
+    m = generalized_distance_matrix(g)
     if isinstance(cert, Bezout):
-        if len(cert.pairs) != len(cert.coeffs):
+        exact = int if ring == ZZ else (int, Fraction)
+        if (len(cert.pairs) != len(cert.coeffs)
+                or not all(isinstance(c, exact) for c in cert.coeffs)):
             return False
-        det = snf.LaplaceMemo(dm).det
         total = 0
         for (rsub, csub), c in zip(cert.pairs, cert.coeffs):
             if not (_is_index_set(rsub, i, n) and _is_index_set(csub, i, n)
                     and not set(rsub) & set(csub)):
                 return False
-            if ring == ZZ and Fraction(c).denominator != 1:
-                return False
-            total += c * det(rsub, csub)
+            total += c * m.det(rsub, csub)
         return total == 1
     if isinstance(cert, Point):
         p, a = cert.p, cert.a
-        if len(a) != n:
+        if not isinstance(p, int) or len(a) != n:
             return False
-        # a point over F_p has integer coordinates and says nothing over QQ
-        if p and (ring == QQ or _prime_factors(p) != [p]
-                  or any(Fraction(x).denominator != 1 for x in a)):
+        exact = int if p else (int, Fraction)
+        if not all(isinstance(x, exact) for x in a):
             return False
-        return _vanishes(dm, a, p, i)
+        # a point over F_p says nothing over QQ
+        if p and (ring == QQ or _prime_factors(p) != [p]):
+            return False
+        return _vanishes(m.const, a, p, i)
     return False
 
 
@@ -318,14 +318,21 @@ def _rank_one_point(dm, p):
 
 def _vanishes(dm, a, p, i):
     """Whether every i-minor of D(G, a) is 0 mod p (exactly 0 for p = 0),
-    that is, whether p divides their gcd Δ_i, read off the Smith form.
-    Denominators are cleared by scaling the matrix by their lcm L, which
-    scales every i-minor by L^i; L is 1 for p > 0."""
+    that is, whether p divides their gcd Δ_i.  Denominators are cleared
+    by scaling the matrix by their lcm L, which scales every i-minor by
+    L^i; L is 1 for p > 0."""
+    L = lcm(*(x.denominator for x in a))
+    dm = [[d * L for d in row] for row in dm]
+    return not _mod(_delta(dm, [int(x * L) for x in a], i), p)
+
+
+def _delta(dm, a, i):
+    """Δ_i of D(G) with the integers a on its diagonal: the gcd of its
+    i-minors, the product of the first i invariant factors of its Smith
+    normal form.  A non-integer entry raises TypeError."""
     n = len(dm)
-    scale = lcm(*(Fraction(x).denominator for x in a))
-    M = [[int(a[u] * scale) if u == v else dm[u][v] * scale
-          for v in range(n)] for u in range(n)]
-    return not _mod(snf.smith_normal_form(M).delta(i), p)
+    M = [[a[u] if u == v else dm[u][v] for v in range(n)] for u in range(n)]
+    return snf.smith_normal_form(M).delta(i)
 
 
 def evaluate_ideal(g, i, point):
@@ -335,10 +342,7 @@ def evaluate_ideal(g, i, point):
         raise ValueError("evaluation point has wrong length")
     if not (1 <= i <= g.n):
         raise ValueError("minor size out of range")
-    dm = all_pairs_distances(g)
-    M = [[point[u] if u == v else dm[u][v] for v in range(g.n)]
-         for u in range(g.n)]
-    return snf.smith_normal_form(M).delta(i)
+    return _delta(all_pairs_distances(g), point, i)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +361,10 @@ def char_poly_distance(g, allow_large=False):
     if not allow_large and n > MAX_MINOR_N:
         raise ValueError("characteristic polynomial needs allow_large for "
                          "n=%d" % n)
-    memo = snf.LaplaceMemo(all_pairs_distances(g))
+    det = generalized_distance_matrix(g).det
     terms = {}
     for k in range(n + 1):
-        e = sum(memo.det(s, s) for s in combinations(range(n), k))
+        e = sum(det(s, s) for s in combinations(range(n), k))
         if e:
             terms[(n - k,)] = -e if k % 2 else e
     p = Polynomial._make(ZZ, (CHAR_VAR,), terms)

@@ -83,6 +83,8 @@ class Polynomial:
         for mono, coeff in terms.items():
             if len(mono) != len(variables):
                 raise ValueError("exponent vector length mismatch")
+            if not all(isinstance(e, int) and e >= 0 for e in mono):
+                raise ValueError("bad exponent vector %r" % (mono,))
             c = _coerce(ring, coeff)
             if c:
                 clean[tuple(mono)] = c

@@ -233,6 +233,14 @@ def test_graph_over_vertex_bound(capsys, tmp_path):
         assert err == "error: graphs with n > 62 vertices unsupported\n"
 
 
+def test_edges_file_over_vertex_bound_before_edges(capsys, tmp_path):
+    # the header's bound comes before a malformed edge line is parsed
+    path = _edges_file(tmp_path, "63\n0 1\n0 x\n")
+    code, out, err = run(capsys, "snf", "--edges-file", path)
+    assert code == 1 and out == ""
+    assert err == "error: graphs with n > 62 vertices unsupported\n"
+
+
 def _edges_file(tmp_path, text):
     path = tmp_path / "edges.txt"
     path.write_text(text)

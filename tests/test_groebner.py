@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -178,6 +179,26 @@ def test_verify_needs_gcd_pairs():
     assert [p.render() for p in Ideal(ZZ, V, gens).basis] == [
         "3*x1", "2*x0", "x0*x1"]
     assert _with_basis(ZZ, gens, gens).verify() is False
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_verify_rejects_zero_basis_element(ring):
+    gens = [x(ring), y(ring)]
+    zero = Polynomial.zero(ring, V)
+    assert _with_basis(ring, gens, gens + [zero]).verify() is False
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_verify_rejects_basis_over_other_variables(ring):
+    # _reduce would zip the exponent tuples of different lengths
+    wide = Polynomial.variable(ring, make_vars(3), "x0")
+    assert _with_basis(ring, [x(ring)], [wide]).verify() is False
+
+
+def test_verify_rejects_rational_basis_over_zz():
+    # clearing x0/2 would give x0, which does divide 2*x0
+    half = Polynomial(QQ, V, {(1, 0): Fraction(1, 2)})
+    assert _with_basis(ZZ, [2 * x()], [half]).verify() is False
 
 
 def test_determinism():

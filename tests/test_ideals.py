@@ -546,6 +546,40 @@ def test_check_rejects_wrong_prime():
         assert not check(cert, g, i, QQ)
 
 
+def test_check_rejects_float_coefficient():
+    # 1/3 * 3 rounds to 1.0 in floats, but 0.333...·3 is not 1
+    g = family("path", 4)
+    pair = ((0,), (3,))
+    assert check(Bezout((pair,), (Fraction(1, 3),)), g, 1, QQ)
+    assert not check(Bezout((pair,), (1 / 3,)), g, 1, QQ)
+
+
+def test_check_rejects_float_coefficient_over_zz():
+    g = family("complete", 4)
+    pair = ((0,), (1,))
+    assert check(Bezout((pair,), (1,)), g, 1, ZZ)
+    assert not check(Bezout((pair,), (1.0,)), g, 1, ZZ)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_check_rejects_string_coefficient(ring):
+    g = family("complete", 4)
+    assert not check(Bezout((((0,), (1,)),), ("1",)), g, 1, ring)
+
+
+def test_check_rejects_non_exact_point():
+    g = family("complete", 3)
+    assert check(Point(0, (1, 1, 1)), g, 2, QQ)
+    for a in (("1", "1", "1"), (1.0, 1.0, 1.0)):
+        assert not check(Point(0, a), g, 2, QQ), a
+        assert not check(Point(0, a), g, 2, ZZ), a
+    # mod p only integer coordinates, and p itself an int
+    c4 = family("cycle", 4)
+    assert check(Point(3, (2, 2, 2, 2)), c4, 2, ZZ)
+    assert not check(Point(3, (Fraction(2), 2, 2, 2)), c4, 2, ZZ)
+    assert not check(Point(3.0, (2, 2, 2, 2)), c4, 2, ZZ)
+
+
 def test_vanishes_matches_minors_gcd():
     # _vanishes reads Δ_i off the Smith form; the oracle takes the gcd of
     # every i-minor by Laplace expansion

@@ -197,6 +197,16 @@ def test_rejects_non_exact_coefficients(ring, coeff):
         Polynomial.const(ring, V, coeff)
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("exponent", [-1, 1.5, 1.0, "1", None],
+                         ids=["negative", "float", "integral-float", "str",
+                              "None"])
+def test_rejects_bad_exponents(ring, exponent):
+    # a negative exponent rendered as the constant 1, a float as x0^1
+    with pytest.raises(ValueError):
+        Polynomial(ring, V, {(exponent, 0, 0): 2})
+
+
 def test_zz_rejects_fractions():
     with pytest.raises((TypeError, ValueError)):
         Polynomial.const(ZZ, V, Fraction(1, 2))
