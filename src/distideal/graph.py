@@ -4,7 +4,10 @@ enumeration of small connected graphs up to isomorphism.
 
 Everything here is desk-scale (n <= 62 for every graph, the most that
 graph6 encodes in one byte; n <= 7 for the corpus), so brute force is
-used throughout for its obvious correctness.
+used throughout for its obvious correctness: the enumerator keeps the
+least adjacency code of each graph over its degree-respecting orderings,
+and a pattern is found when the code of some vertex subset is the code
+of one of its labellings, with no canonical form.
 """
 
 from __future__ import annotations
@@ -217,58 +220,39 @@ def all_pairs_distances(g):
 # ---------------------------------------------------------------------------
 # canonical form (exhaustive, n <= 7 scale)
 
-def _degree_classes(adj, vertices):
-    """{degree within the subgraph induced on vertices: its vertices}."""
-    inside = set(vertices)
+def _canonical_code(adj):
+    """Least code over the orderings that list the vertices by decreasing
+    degree, each degree class in any order."""
     classes = {}
-    for v in vertices:
-        classes.setdefault(len(adj[v] & inside), []).append(v)
-    return classes
-
-
-def _least_code(adj, classes):
-    """Least code over the orderings that list the classes by decreasing
-    degree, each class in any order."""
+    for v, row in enumerate(adj):
+        classes.setdefault(len(row), []).append(v)
     groups = [permutations(classes[d]) for d in sorted(classes, reverse=True)]
     return min(_code(adj, chain.from_iterable(parts))
                for parts in product(*groups))
 
 
-def _canonical_code(adj, vertices):
-    """Least code of the subgraph induced on ``vertices`` over the
-    orderings that list them by decreasing degree within that subgraph."""
-    return _least_code(adj, _degree_classes(adj, vertices))
-
-
 def canonical_form(g):
     """(n, min-adjacency bitstring) over degree-respecting relabelings."""
-    return (g.n, _canonical_code(g.adj, range(g.n)))
+    return (g.n, _canonical_code(g.adj))
 
 
-@lru_cache(maxsize=64)
-def _pattern_key(pattern):
-    """(class sizes by degree, canonical code) of a pattern graph."""
-    adj = pattern.adj
-    classes = _degree_classes(adj, range(pattern.n))
-    return ({d: len(vs) for d, vs in classes.items()},
-            _least_code(adj, classes))
+# ---------------------------------------------------------------------------
+# induced patterns: a k-subset, read in increasing vertex order, induces
+# a copy of a k-vertex pattern iff its code is that of a labelling of it
+
+@lru_cache(maxsize=None)
+def _pattern_codes(name):
+    """The codes of all k! labellings of the k-vertex pattern ``name``."""
+    pattern = PATTERNS[name]
+    return frozenset(_code(pattern.adj, order)
+                     for order in permutations(range(pattern.n)))
 
 
-def contains_induced(g, pattern):
-    """True iff some vertex subset of g induces a copy of pattern."""
-    if isinstance(pattern, str):
-        pattern = PATTERNS[pattern]
-    k = pattern.n
-    if k > g.n:
-        return False
-    sizes, pcode = _pattern_key(pattern)
-    adj = g.adj
-    for subset in combinations(range(g.n), k):
-        classes = _degree_classes(adj, subset)
-        if ({d: len(vs) for d, vs in classes.items()} == sizes
-                and _least_code(adj, classes) == pcode):
-            return True
-    return False
+def contains_induced(g, name):
+    """True iff some vertex subset of g induces a copy of PATTERNS[name]."""
+    codes = _pattern_codes(name)
+    return any(_code(g.adj, subset) in codes
+               for subset in combinations(range(g.n), PATTERNS[name].n))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +276,7 @@ def enumerate_connected(n_max):
                 ext = [a | {new} if v in nbrs else a
                        for v, a in enumerate(adj)]
                 ext.append(nbrs)
-                codes.add(_canonical_code(ext, range(n)))
+                codes.add(_canonical_code(ext))
         # a graph decoded from its canonical code has that code again, so
         # the graphs come out sorted by (edge count, canonical code)
         level = [_from_code(n, code) for code in

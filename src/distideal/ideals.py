@@ -231,26 +231,31 @@ def check(cert, g, i, ring=ZZ):
     neither the minor memo of ``certify`` nor the Groebner engine is
     used.  Only exact numbers count: the coefficients are ints over ZZ
     and ints or Fractions over QQ, p is an int, and the coordinates of
-    a point are ints for p > 0 and ints or Fractions for p = 0."""
+    a point are ints for p > 0 and ints or Fractions for p = 0.  A
+    certificate of any other shape, such as a list where a tuple belongs
+    or a float index, gives False, never an exception."""
     n = g.n
-    if not 1 <= i <= n:
+    if not (isinstance(i, int) and 1 <= i <= n):
         return False
     m = generalized_distance_matrix(g)
     if isinstance(cert, Bezout):
+        pairs, coeffs = cert
         exact = int if ring == ZZ else (int, Fraction)
-        if (len(cert.pairs) != len(cert.coeffs)
-                or not all(isinstance(c, exact) for c in cert.coeffs)):
+        if not (isinstance(pairs, tuple) and isinstance(coeffs, tuple)
+                and len(pairs) == len(coeffs)
+                and all(isinstance(c, exact) for c in coeffs)):
             return False
         total = 0
-        for (rsub, csub), c in zip(cert.pairs, cert.coeffs):
-            if not (_is_index_set(rsub, i, n) and _is_index_set(csub, i, n)
-                    and not set(rsub) & set(csub)):
+        for pair, c in zip(pairs, coeffs):
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(_is_index_set(s, i, n) for s in pair)
+                    and not set(pair[0]) & set(pair[1])):
                 return False
-            total += c * m.det(rsub, csub)
+            total += c * m.det(*pair)
         return total == 1
     if isinstance(cert, Point):
-        p, a = cert.p, cert.a
-        if not isinstance(p, int) or len(a) != n:
+        p, a = cert
+        if not (isinstance(p, int) and isinstance(a, tuple) and len(a) == n):
             return False
         exact = int if p else (int, Fraction)
         if not all(isinstance(x, exact) for x in a):
@@ -289,8 +294,10 @@ def _prime_factors(g):
 
 
 def _is_index_set(s, i, n):
-    return (len(s) == i and tuple(s) == tuple(sorted(set(s)))
-            and all(0 <= v < n for v in s))
+    """Whether s is a tuple of i increasing ints in range(n)."""
+    return (isinstance(s, tuple) and len(s) == i
+            and all(isinstance(v, int) for v in s)
+            and s == tuple(sorted(set(s))) and all(0 <= v < n for v in s))
 
 
 def _mod(d, p):

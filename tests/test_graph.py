@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from distideal import graph
 from distideal.graph import (PATTERNS, Graph, all_pairs_distances,
                              build_graph, canonical_form, contains_induced,
                              emit_graph6, enumerate_connected, family,
@@ -201,6 +202,24 @@ def test_contains_induced_examples():
     # diamond is induced in K6 minus a matching
     assert contains_induced(PATTERNS["K6-M2"], "diamond")
     assert not contains_induced(family("complete", 5), "paw")
+
+
+# (codes of the labellings, automorphisms) of each pattern
+PATTERN_ORBITS = {"P4": (12, 2), "paw": (12, 2), "diamond": (6, 4),
+                  "C4": (3, 8), "K5-P2": (30, 4), "K6-M2": (45, 16)}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_pattern_codes_orbit_stabilizer(name):
+    # two labellings share a code iff they differ by an automorphism, so
+    # the k! labellings fall into one orbit of size |Aut(P)| per code
+    pat = PATTERNS[name]
+    adj = pat.adj
+    aut = sum(all({p[v] for v in adj[u]} == adj[p[u]] for u in range(pat.n))
+              for p in permutations(range(pat.n)))
+    codes = len(graph._pattern_codes(name))
+    assert codes * aut == factorial(pat.n)
+    assert (codes, aut) == PATTERN_ORBITS[name]
 
 
 def test_enumeration_counts():

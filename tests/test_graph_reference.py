@@ -2,7 +2,9 @@
 (``reference_graph``): one adjacency code for graph6, canonical forms,
 induced subgraphs and pattern search, and one BFS for connectivity,
 distances and the structural recognizers.  Every labeled graph on up to
-five vertices is checked, disconnected ones included."""
+five vertices is checked, disconnected ones included; pattern search is
+also checked on every connected graph on up to six vertices, and on seven
+under ``slow``."""
 
 import re
 from itertools import combinations
@@ -13,8 +15,8 @@ import reference_graph as ref
 from distideal import graph
 from distideal.classify import is_complete_bipartite, is_star
 from distideal.graph import (PATTERNS, build_graph, canonical_form,
-                             contains_induced, emit_graph6, is_connected,
-                             parse_graph6)
+                             contains_induced, emit_graph6,
+                             enumerate_connected, is_connected, parse_graph6)
 
 
 def labeled_graphs(n):
@@ -50,12 +52,11 @@ def test_connectivity_and_structure_match_reference():
 
 def test_induced_subgraphs_match_reference():
     for g in SMALL:
-        adj = g.adj
         for k in range(1, g.n + 1):
             for subset in combinations(range(g.n), k):
                 sub = ref.induced(g, subset)
                 assert g.induced(subset) == sub
-                assert (k, graph._canonical_code(adj, subset)) == \
+                assert canonical_form(g.induced(subset)) == \
                     ref.canonical_form(sub)
 
 
@@ -68,6 +69,26 @@ def test_contains_induced_matches_reference(name):
         found += hit
     if PATTERNS[name].n <= 5:
         assert found > 0
+
+
+def _assert_contains_induced_matches_reference(hosts):
+    for g in hosts:
+        for name in ("P4", "paw", "diamond", "C4"):
+            assert contains_induced(g, name) == \
+                ref.contains_induced(g, name), (emit_graph6(g), name)
+
+
+def test_contains_induced_matches_reference_connected_six():
+    hosts = list(enumerate_connected(6))
+    assert len(hosts) == 143
+    _assert_contains_induced_matches_reference(hosts)
+
+
+@pytest.mark.slow
+def test_contains_induced_matches_reference_connected_seven():
+    hosts = [g for g in enumerate_connected(7) if g.n == 7]
+    assert len(hosts) == 853
+    _assert_contains_induced_matches_reference(hosts)
 
 
 @pytest.mark.parametrize("text", ["", "?", "@", "B", "Bwww", "A~", "A" + chr(62),

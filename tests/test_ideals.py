@@ -520,6 +520,10 @@ def test_check_rejects_overlapping_index_sets():
     assert not check(Bezout(((rsub, (csub[0], rsub[0])),), cert.coeffs),
                      g, 2, QQ)
     assert not check(Bezout(((rsub, csub[:1]),), cert.coeffs), g, 2, QQ)
+    # an index set holds ints, and a pair is two index sets
+    k4 = family("complete", 4)
+    assert not check(Bezout((((0.0,), (1,)),), (1,)), k4, 1, ZZ)
+    assert not check(Bezout(((1, 2, 3),), (1,)), k4, 1, ZZ)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ])
@@ -565,6 +569,8 @@ def test_check_rejects_float_coefficient_over_zz():
 def test_check_rejects_string_coefficient(ring):
     g = family("complete", 4)
     assert not check(Bezout((((0,), (1,)),), ("1",)), g, 1, ring)
+    # the pairs and the coefficients are tuples
+    assert not check(Bezout(None, ()), g, 1, ring)
 
 
 def test_check_rejects_non_exact_point():
@@ -578,6 +584,10 @@ def test_check_rejects_non_exact_point():
     assert check(Point(3, (2, 2, 2, 2)), c4, 2, ZZ)
     assert not check(Point(3, (Fraction(2), 2, 2, 2)), c4, 2, ZZ)
     assert not check(Point(3.0, (2, 2, 2, 2)), c4, 2, ZZ)
+    # the coordinates are a tuple, and the index an int
+    assert not check(Point(0, None), g, 2, QQ)
+    assert not check(Point(0, (1, 1, 1)), g, 1.5, QQ)
+    assert not check(Point(2, 5), family("complete", 4), 2, ZZ)
 
 
 def test_vanishes_matches_minors_gcd():
