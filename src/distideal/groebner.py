@@ -2,8 +2,8 @@
 computed by one Buchberger loop, and the Ideal that owns its reduced
 basis and answers reduction, membership and triviality questions.
 ``Ideal.verify`` re-checks a basis B and returns a verdict: every
-generator, S-polynomial and, over ZZ, gcd-polynomial reduces to zero,
-so the ideal lies in (B) and B is a Groebner basis of (B).
+generator and every pair of B that the loop's pair rule keeps reduces
+to zero, so the ideal lies in (B) and B is a Groebner basis of (B).
 
 Both rings run on integer polynomials with positive leading
 coefficients and one reduction loop, ``_reduce``: Euclidean on the
@@ -13,19 +13,30 @@ a field engine would hold, so the pairs, their order and the reduced
 bases are the same; each completed QQ basis is made monic once, and
 public reduction over QQ divides its remainder once.  Completed bases
 are interreduced and rendered deterministically.
+
+Between entry and exit a monomial is one int (Monagan & Pearce, "Sparse
+polynomial division using a heap", J. Symbolic Comput. 46, 2011).  Each
+exponent takes a B-bit field whose top bit is a guard, and the total
+degree sits above them.  The int kept is the monomial's grevlex heap key
+2*(m & LOW) - m = E - (degree << n*B), E the exponent fields: the
+smaller key is the larger monomial, a product is an addition, and g
+divides m iff (m - g) & GUARD == 0.  A polynomial is a dict from these
+keys to integer coefficients, and the working basis holds (lm, lc, term
+list) triples with the term list in descending order.  B starts from the
+input's degree; a pair whose lcm reaches degree 2^(B-1) restarts the run
+with fields twice as wide, since no monomial of a reduction outgrows the
+degree of what it reduces.  The divisor scan keeps the first-divisor
+rule and remembers, per monomial, which basis elements divide it.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
-from operator import le, sub
+from operator import mul
 
-from .poly import (QQ, ZZ, Polynomial, descending_key, mono_div,
-                   mono_divides, mono_lcm, mono_mul, monomial_key,
-                   subtract_term_multiple)
+from .poly import QQ, ZZ, Polynomial
 
 
 def _ext_gcd(a, b):
@@ -42,6 +53,72 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
+class _Widen(Exception):
+    """A pair's lcm reached the degree bound of the field width."""
+
+
+class _Fields:
+    """The packing of an n-variable registry in B-bit fields: variable i
+    in bits [i*B, (i+1)*B), the negated degree from bit n*B up."""
+
+    __slots__ = ("bits", "shifts", "units", "top", "low", "guard", "ones",
+                 "mask", "sum_at")
+
+    def __init__(self, n, bits):
+        self.bits = bits
+        self.shifts = range(0, n * bits, bits)
+        self.top = n * bits
+        # the packed form of each variable
+        self.units = [(1 << s) - (1 << self.top) for s in self.shifts]
+        self.low = (1 << self.top) - 1
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guard = self.ones << (bits - 1)
+        self.mask = (1 << bits) - 1
+        # E * ones holds the sum of E's fields in its field n - 1
+        self.sum_at = max(self.top - bits, 0)
+
+    def pack(self, mono):
+        return sum(map(mul, mono, self.units))
+
+    def unpack(self, m):
+        mask = self.mask
+        return tuple(m >> s & mask for s in self.shifts)
+
+    def lcm(self, a, b):
+        """The lcm of two packed monomials; _Widen once its degree
+        reaches 2^(B-1), where a field could overflow."""
+        low, guard = self.low, self.guard
+        ea, eb = a & low, b & low
+        # the guard bit of each field where a's exponent is at least b's,
+        # spread over that field
+        ge = ((ea | guard) - eb) & guard
+        ge = (ge << 1) - (ge >> (self.bits - 1))
+        e = (ea & ge) | (eb & ~ge)
+        degree = (e * self.ones) >> self.sum_at & self.mask
+        if degree >> (self.bits - 1):
+            raise _Widen
+        return e - (degree << self.top)
+
+
+def _width(polys):
+    """The field width B for these polynomials: 2^(B-1) exceeds their
+    degree."""
+    degree = max((max(map(sum, p.terms)) for p in polys if p.terms),
+                 default=0)
+    return max(8, degree.bit_length() + 1)
+
+
+def _widening(run, n, polys):
+    """run(fields) on fields wide enough for ``polys``, restarted on
+    fields twice as wide whenever it raises _Widen."""
+    bits = _width(polys)
+    while True:
+        try:
+            return run(_Fields(n, bits))
+        except _Widen:
+            bits *= 2
+
+
 def _clear(p):
     """(d*p as an integer polynomial, d), d the least common denominator
     of p's coefficients; an integer polynomial comes back as itself."""
@@ -52,39 +129,71 @@ def _clear(p):
         m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}), d
 
 
-def _normalize(p, field):
-    """p with a positive leading coefficient; over QQ (``field``) also
-    divided by its content, so that it is primitive."""
-    d = gcd(*p.terms.values()) if field else 1
-    d = -d if p.leading()[1] < 0 else d
-    return p if d == 1 else Polynomial._make(
-        ZZ, p.vars, {m: c // d for m, c in p.terms.items()})
+def _pack(p, fields):
+    """The packed term dict of an integer polynomial, leading term first."""
+    pack = fields.pack
+    return dict(sorted((pack(m), c) for m, c in p.terms.items()))
 
 
-def _divisors(polys):
-    """(lm, lc, term items) of each polynomial, as ``_reduce`` reads them."""
-    return [p.leading() + (p.terms.items(),) for p in polys]
+def _unpack(terms, fields, ring, variables, den=1):
+    """The Polynomial of packed (m, c) pairs; over QQ each c is divided
+    by den."""
+    unpack = fields.unpack
+    if ring == QQ:
+        return Polynomial._make(QQ, variables, {
+            unpack(m): Fraction(c, den) for m, c in terms})
+    return Polynomial._make(ring, variables,
+                            {unpack(m): c for m, c in terms})
 
 
-def _reduce(h, divisors, field):
-    """Reduce the integer term dict h in place, its leading term c*m at
+def _triple(h):
+    """The working basis triple (lm, lc, term list) of a nonzero packed
+    dict h, leading term first."""
+    lm = next(iter(h))
+    return lm, h[lm], list(h.items())
+
+
+def _normalize(h, field):
+    """The triple of h with a positive leading coefficient; over QQ
+    (``field``) also divided by its content, so that it is primitive."""
+    d = gcd(*h.values()) if field else 1
+    d = -d if h[next(iter(h))] < 0 else d
+    return _triple(h if d == 1 else {m: c // d for m, c in h.items()})
+
+
+def _sort_key(p):
+    """The packed form of ``Polynomial.sort_key``."""
+    return tuple((-m, c) for m, c in p[2])
+
+
+def _reduce(h, divisors, field, guard, found):
+    """Reduce the packed term dict h in place, its leading term c*m at
     the heap's top, by the first divisor g (lc g > 0) with lm g | m: over
     ZZ h -= (c // lc g)*x^s*g, where a zero quotient tries the next g;
     over QQ (``field``) h <- (lc g / d)*h - (c / d)*x^s*g, d = gcd(c, lc g).
-    Returns the remainder and the multiplier of the normal form it is."""
-    heap = [(descending_key(m), m) for m in h]
+    Returns the remainder, leading term first, and the multiplier of the
+    normal form it is.  ``found`` maps each m seen to (k, the divisors
+    among the first k whose lm divides m), so each divisibility test
+    runs once; a caller that shares it between calls may only append to
+    ``divisors`` in between."""
+    heap = list(h)
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    k = len(divisors)
     remainder = {}
     mult = 1
     while heap:
-        m = heap[0][1]
+        m = heap[0]
         c = h.get(m)
         if c is None:
-            heapq.heappop(heap)
+            heappop(heap)
             continue
-        for gm, gc, gterms in divisors:
-            if not all(map(le, gm, m)):  # mono_divides, inlined
-                continue
+        seen, hits = found.get(m, (0, ()))
+        if seen < k:
+            hits += tuple(g for g in divisors[seen:]
+                          if not (m - g[0]) & guard)
+            found[m] = k, hits
+        for gm, gc, gterms in hits:
             if field:
                 d = gcd(c, gc)
                 q, a = c // d, gc // d
@@ -95,14 +204,64 @@ def _reduce(h, divisors, field):
                             part[t] *= a
             elif not (q := c // gc):
                 continue
-            subtract_term_multiple(h, heap, q, tuple(map(sub, m, gm)),
-                                   gterms)
+            s = m - gm
+            for t, tc in gterms:
+                t += s
+                v = h.get(t)
+                if v is None:
+                    h[t] = -q * tc
+                    heappush(heap, t)
+                else:
+                    v -= q * tc
+                    if v:
+                        h[t] = v
+                    else:
+                        del h[t]
             break
         else:
             remainder[m] = c
             del h[m]
-            heapq.heappop(heap)
+            heappop(heap)
     return remainder, mult
+
+
+def _pair_kinds(f, g, L, field):
+    """The pairs of working basis triples f and g, with lcm L of their
+    leading monomials, that can fail to reduce to zero: the S-pair ("s")
+    unless the product criterion skips it (coprime leading monomials,
+    over ZZ only when the leading coefficients are coprime too), and over
+    ZZ the gcd-pair ("g") unless one leading coefficient divides the
+    other."""
+    fc, gc = f[1], g[1]
+    if L != f[0] + g[0] or not (field or gcd(fc, gc) == 1):
+        yield "s"
+    if not field and fc % gc and gc % fc:
+        yield "g"
+
+
+def _pair(f, g, L, kind):
+    """a*x^(L - lm f)*f + b*x^(L - lm g)*g for working basis triples f and
+    g with lcm L of their leading monomials: the S-polynomial (kind "s",
+    a*lc f = -b*lc g = lcm(lc f, lc g)) or the gcd-polynomial (kind "g",
+    a*lc f + b*lc g = gcd(lc f, lc g)), as a packed term dict."""
+    fm, fc, fterms = f
+    gm, gc, gterms = g
+    if kind == "s":
+        l = lcm(fc, gc)
+        a, b = l // fc, -(l // gc)
+    else:
+        _, a, b = _ext_gcd(fc, gc)
+    s = L - fm
+    h = {t + s: a * c for t, c in fterms} if a else {}
+    s = L - gm
+    for t, c in gterms:
+        t += s
+        c = h.get(t, 0) + b * c
+        if c:
+            h[t] = c
+        else:
+            h.pop(t, None)
+    return h
 
 
 def reduce_poly(f, basis):
@@ -111,77 +270,102 @@ def reduce_poly(f, basis):
     if f.is_zero():
         return f
     h, den = _clear(f)
+    basis = [_clear(g)[0] for g in basis if g.terms]
+    fields = _Fields(len(f.vars), _width([h] + basis))
     # a divisor with lc < 0 is used as -g: floor division by a negative
     # lc need not shrink the coefficient, and the reduction can cycle
-    divisors = _divisors(_normalize(_clear(g)[0], False)
-                         for g in basis if g.terms)
-    field = f.ring == QQ
-    remainder, mult = _reduce(dict(h.terms), divisors, field)
-    if field:
-        den *= mult
-        remainder = {m: Fraction(c, den) for m, c in remainder.items()}
-    return Polynomial._make(f.ring, f.vars, remainder)
+    divisors = [_normalize(_pack(g, fields), False) for g in basis]
+    remainder, mult = _reduce(_pack(h, fields), divisors, f.ring == QQ,
+                              fields.guard, {})
+    return _unpack(remainder.items(), fields, f.ring, f.vars, den * mult)
+
+
+def _pair_polynomial(kind, f, g):
+    """The pair polynomial of kind "s" or "g" of two Polynomials, through
+    the packed pair routine."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("pair polynomial of zero polynomial")
+    f._check(g)
+    # one more bit holds the lcm, of at most the sum of the two degrees
+    fields = _Fields(len(f.vars), _width([f, g]) + 1)
+    a, b = (_triple(_pack(p, fields)) for p in (f, g))
+    h = _pair(a, b, fields.lcm(a[0], b[0]), kind)
+    return _unpack(h.items(), fields, f.ring, f.vars)
 
 
 def s_polynomial(f, g):
     """S-polynomial of integer polynomials, by the lcm of their lcs."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of zero polynomial")
-    fm, fc = f.leading()
-    gm, gc = g.leading()
-    L = mono_lcm(fm, gm)
-    l = lcm(fc, gc)
-    return (f.term_mul(mono_div(L, fm), l // fc)
-            - g.term_mul(mono_div(L, gm), l // gc))
+    return _pair_polynomial("s", f, g)
 
 
 def gcd_polynomial(f, g):
     """Bezout combination with leading term gcd(lc f, lc g) * lcm(lm f, lm g)."""
     if f.ring != ZZ:
         raise ValueError("gcd-polynomials only apply over ZZ")
-    if f.is_zero() or g.is_zero():
-        raise ValueError("gcd-polynomial of zero polynomial")
-    fm, fc = f.leading()
-    gm, gc = g.leading()
-    L = mono_lcm(fm, gm)
-    _, s, t = _ext_gcd(fc, gc)
-    return (f.term_mul(mono_div(L, fm), s)
-            + g.term_mul(mono_div(L, gm), t))
+    return _pair_polynomial("g", f, g)
 
 
 def _unit_basis(ring, variables):
     return [Polynomial.const(ring, variables, 1)]
 
 
-def _minimize_and_interreduce(polys, ring):
-    """The reduced basis of the loop's polynomials, made monic over QQ."""
-    if not polys:
-        return []
+def _minimize_and_interreduce(G, fields, ring, variables):
+    """The reduced basis of the loop's working basis triples, unpacked,
+    and made monic over QQ."""
     field = ring == QQ
-    polys = sorted(polys, key=lambda p: (monomial_key(p.leading()[0]),
-                                         p.leading()[1], p.sort_key()))
+    guard = fields.guard
     kept = []
-    for p in polys:
-        pm, pc = p.leading()
+    for p in sorted(G, key=lambda p: (-p[0], p[1], _sort_key(p))):
+        pm, pc, _ = p
         # over QQ a multiple of a leading monomial is enough
-        if not any(mono_divides(qm, pm) and (field or pc % qc == 0)
-                   for qm, qc in map(Polynomial.leading, kept)):
+        if not any(not (pm - qm) & guard and (field or pc % qc == 0)
+                   for qm, qc, _ in kept):
             kept.append(p)
     # one pass of tail reduction: the leading terms are fixed by now, so
     # a tail reduced against them stays reduced
-    for i, p in enumerate(kept):
-        pm, pc = p.leading()
-        tail, mult = _reduce({m: c for m, c in p.terms.items() if m != pm},
-                             _divisors(kept[:i] + kept[i + 1:]), field)
-        tail[pm] = pc * mult
-        kept[i] = _normalize(Polynomial._make(ZZ, p.vars, tail), field)
-    kept.sort(key=lambda p: (monomial_key(p.leading()[0]),
-                             p.sort_key()))
-    if field:
-        kept = [Polynomial._make(QQ, p.vars, {
-            m: Fraction(c, p.leading()[1]) for m, c in p.terms.items()})
-                for p in kept]
-    return kept
+    for i, (pm, pc, terms) in enumerate(kept):
+        tail, mult = _reduce(dict(terms[1:]), kept[:i] + kept[i + 1:],
+                             field, guard, {})
+        h = {pm: pc * mult}
+        h.update(tail)
+        kept[i] = _normalize(h, field)
+    kept.sort(key=lambda p: (-p[0], _sort_key(p)))
+    return [_unpack(terms, fields, ring, variables, pc)
+            for _, pc, terms in kept]
+
+
+def _complete(start, fields, field):
+    """The loop: the working basis that completes the packed start list,
+    or None at a unit."""
+    guard, lcm_of = fields.guard, fields.lcm
+    found = {}
+    G = []
+    queue = []  # (-lcm, counter, i, j, kind): lowest lcm first
+    counter = 0
+
+    def candidates():
+        # the queue grows while the loop below consumes this; _pair is
+        # a module global, which wrappers may replace
+        yield from start
+        while queue:
+            L, _, i, j, kind = heapq.heappop(queue)
+            yield _pair(G[i], G[j], -L, kind)
+
+    for h in candidates():
+        h, _ = _reduce(h, G, field, guard, found)
+        if not h:
+            continue
+        lm = next(iter(h))
+        if lm == 0 and (field or abs(h[lm]) == 1):
+            return None
+        f = _normalize(h, field)
+        for j, g in enumerate(G):
+            L = lcm_of(g[0], f[0])
+            for kind in _pair_kinds(g, f, L, field):
+                heapq.heappush(queue, (-L, counter, j, len(G), kind))
+                counter += 1
+        G.append(f)
+    return G
 
 
 def buchberger(gens, ring, variables):
@@ -197,58 +381,25 @@ def buchberger(gens, ring, variables):
                else Polynomial.is_unit_constant)
     if any(map(is_unit, gens)):
         return _unit_basis(ring, variables)
-    start = {_normalize(_clear(g)[0] if field else g.to_ring(ZZ), field)
-             for g in gens}
-    # over QQ in the order of the monic forms: every coefficient in the
-    # sort key is scaled by scale / lc, the same for all, and stays integral
-    scale = lcm(*(p.leading()[1] for p in start)) if field else 1
-    start = sorted(start, key=lambda p: tuple(
-        (k, c * scale // p.leading()[1] if field else c)
-        for k, c in p.sort_key()))
+    gens = [_clear(g)[0] if field else g.to_ring(ZZ) for g in gens]
 
-    G = []
-    divisors = []
-    queue = []  # (monomial_key(lcm), counter, i, j, kind): lowest degree first
-    counter = 0
-
-    def push_pairs(idx):
-        nonlocal counter
-        gm, gc, _ = divisors[idx]
-        for j in range(idx):
-            hm, hc, _ = divisors[j]
-            L = mono_lcm(gm, hm)
-            key = monomial_key(L)
-            # product criterion: skip when the leading monomials are
-            # coprime, over ZZ only when the leading coefficients are too
-            if L != mono_mul(gm, hm) or not (field or gcd(gc, hc) == 1):
-                heapq.heappush(queue, (key, counter, j, idx, "s"))
-                counter += 1
-            if not field and gc % hc and hc % gc:
-                heapq.heappush(queue, (key, counter, j, idx, "g"))
-                counter += 1
-
-    def candidates():
-        # the queue grows while the loop below consumes this; the pair
-        # functions are module globals, which wrappers may replace
-        yield from start
-        while queue:
-            _, _, i, j, kind = heapq.heappop(queue)
-            pair = s_polynomial if kind == "s" else gcd_polynomial
-            yield pair(G[i], G[j])
-
-    for p in candidates():
-        h, _ = _reduce(dict(p.terms), divisors, field)
-        if not h:
-            continue
-        h = Polynomial._make(ZZ, variables, h)
-        if is_unit(h):
+    def run(fields):
+        start = {}
+        for g in gens:
+            p = _normalize(_pack(g, fields), field)
+            start[tuple(p[2])] = p
+        # over QQ in the order of the monic forms: every coefficient in
+        # the sort key is scaled by scale / lc, the same for all, and
+        # stays integral
+        scale = lcm(*(p[1] for p in start.values())) if field else 1
+        start = sorted(start.values(), key=lambda p: tuple(
+            (k, c * scale // p[1] if field else c) for k, c in _sort_key(p)))
+        G = _complete([dict(p[2]) for p in start], fields, field)
+        if G is None:
             return _unit_basis(ring, variables)
-        h = _normalize(h, field)
-        G.append(h)
-        divisors += _divisors([h])
-        push_pairs(len(G) - 1)
+        return _minimize_and_interreduce(G, fields, ring, variables)
 
-    return _minimize_and_interreduce(G, ring)
+    return _widening(run, len(variables), gens)
 
 
 class Ideal:
@@ -285,26 +436,40 @@ class Ideal:
         return self.basis == (Polynomial.const(self.ring, self.vars, 1),)
 
     def verify(self):
-        """Whether every generator, S-polynomial and, over ZZ,
-        gcd-polynomial of the cleared basis B reduces to zero against B.
-        That shows the ideal lies in (B) and B is a (strong, over ZZ)
-        Groebner basis of (B); it does not show that (B) lies in the
-        ideal, so the unit basis passes for any ideal.  A basis element
-        that is zero, over other variables or in the other ring fails."""
+        """Whether every generator, and every S-polynomial and, over ZZ,
+        gcd-polynomial of the cleared basis B that the loop's pair rule
+        keeps, reduces to zero against B.  That shows the ideal lies in
+        (B) and B is a (strong, over ZZ) Groebner basis of (B); it does
+        not show that (B) lies in the ideal, so the unit basis passes for
+        any ideal.  A basis element that is zero, over other variables or
+        in the other ring fails."""
         if any(p.is_zero() or p.ring != self.ring or p.vars != self.vars
                for p in self.basis):
             return False
         polys = [_clear(p)[0] for p in self.basis]
         if any(p.leading()[1] <= 0 for p in polys):
             return False  # _reduce divides by positive leading coefficients
+        gens = [_clear(g)[0] for g in self.gens]
         field = self.ring == QQ
-        pairs = (s_polynomial,) if field else (s_polynomial, gcd_polynomial)
-        checks = chain((_clear(g)[0] for g in self.gens),
-                       (pair(f, g) for i, f in enumerate(polys)
-                        for g in polys[:i] for pair in pairs))
-        divisors = _divisors(polys)
-        return not any(_reduce(dict(h.terms), divisors, field)[0]
-                       for h in checks)
+
+        def run(fields):
+            divisors = [_triple(_pack(p, fields)) for p in polys]
+
+            def checks():
+                for g in gens:
+                    yield _pack(g, fields)
+                for i, f in enumerate(divisors):
+                    for g in divisors[:i]:
+                        L = fields.lcm(f[0], g[0])
+                        for kind in _pair_kinds(f, g, L, field):
+                            yield _pair(f, g, L, kind)
+
+            found = {}
+            return not any(
+                _reduce(h, divisors, field, fields.guard, found)[0]
+                for h in checks())
+
+        return _widening(run, len(self.vars), polys + gens)
 
 
 def ideals_equal(a, b):

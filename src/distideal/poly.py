@@ -11,8 +11,7 @@ only term order: the triviality of an ideal does not depend on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappush
-from operator import add, le, neg, sub
+from operator import add, neg
 
 ZZ = "ZZ"
 QQ = "QQ"
@@ -23,26 +22,7 @@ def make_vars(n):
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers (exponent tuples)
-
-def mono_mul(a, b):
-    return tuple(map(add, a, b))
-
-
-def mono_div(a, b):
-    if not mono_divides(b, a):
-        raise ValueError("monomial %r does not divide %r" % (b, a))
-    return tuple(map(sub, a, b))
-
-
-def mono_divides(a, b):
-    """True if a divides b."""
-    return all(map(le, a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
+# monomial order (exponent tuples)
 
 def monomial_key(mono):
     """Sort key: larger key = larger monomial in grevlex."""
@@ -51,7 +31,7 @@ def monomial_key(mono):
 
 def descending_key(mono):
     """Sort key under which the larger monomial comes first: the
-    monomial_key with every entry negated, for the min-heaps below."""
+    monomial_key with every entry negated."""
     return (-sum(mono), mono[::-1])
 
 
@@ -301,20 +281,3 @@ class Polynomial:
     def __repr__(self):
         return "Polynomial(%s, %s)" % (self.ring, self.render())
 
-
-def subtract_term_multiple(terms, heap, q, shift, items):
-    """terms -= q * x^shift * (the polynomial with term ``items``), in
-    place.  The heap holds (descending_key(m), m) for every m in terms,
-    and stale entries that callers skip; new monomials are pushed on it."""
-    for tm, tc in items:
-        t = tuple(map(add, tm, shift))
-        v = terms.get(t)
-        if v is None:
-            terms[t] = -q * tc
-            heappush(heap, (descending_key(t), t))
-        else:
-            v -= q * tc
-            if v:
-                terms[t] = v
-            else:
-                del terms[t]

@@ -1,6 +1,48 @@
-"""Polynomial helpers that only the tests need."""
+"""Polynomial helpers that only the tests need: composition, the tuple
+monomial arithmetic that the packed Groebner engine is checked against,
+and the in-place term update of the reference determinant engine."""
 
-from distideal.poly import Polynomial
+from heapq import heappush
+from operator import add, le, sub
+
+from distideal.poly import Polynomial, descending_key
+
+
+def mono_mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def mono_div(a, b):
+    if not mono_divides(b, a):
+        raise ValueError("monomial %r does not divide %r" % (b, a))
+    return tuple(map(sub, a, b))
+
+
+def mono_divides(a, b):
+    """True if a divides b."""
+    return all(map(le, a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def subtract_term_multiple(terms, heap, q, shift, items):
+    """terms -= q * x^shift * (the polynomial with term ``items``), in
+    place.  The heap holds (descending_key(m), m) for every m in terms,
+    and stale entries that callers skip; new monomials are pushed on it."""
+    for tm, tc in items:
+        t = tuple(map(add, tm, shift))
+        v = terms.get(t)
+        if v is None:
+            terms[t] = -q * tc
+            heappush(heap, (descending_key(t), t))
+        else:
+            v -= q * tc
+            if v:
+                terms[t] = v
+            else:
+                del terms[t]
 
 
 def compose(p, target_vars, mapping):

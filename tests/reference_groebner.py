@@ -12,8 +12,8 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-from distideal.poly import (QQ, ZZ, Polynomial, mono_div,
-                            mono_divides, mono_lcm, mono_mul, monomial_key)
+from distideal.poly import QQ, ZZ, Polynomial, monomial_key
+from poly_helpers import mono_div, mono_divides, mono_lcm, mono_mul
 
 
 def _ext_gcd(a, b):

@@ -1,16 +1,16 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from distideal import groebner
-from distideal.graph import enumerate_connected
+from distideal.graph import enumerate_connected, family
 from distideal.groebner import (Ideal, buchberger,
                                 gcd_polynomial, ideals_equal, reduce_poly,
                                 s_polynomial)
 from distideal.ideals import generalized_distance_matrix, minors
-from distideal.poly import (QQ, ZZ, Polynomial, make_vars, mono_lcm,
-                            mono_mul, monomial_key)
+from distideal.poly import QQ, ZZ, Polynomial, make_vars, monomial_key
+from poly_helpers import mono_lcm, mono_mul
 
 V = make_vars(2)
 
@@ -201,6 +201,39 @@ def test_verify_rejects_rational_basis_over_zz():
     assert _with_basis(ZZ, [2 * x()], [half]).verify() is False
 
 
+@pytest.mark.parametrize("ring, s_pairs, g_pairs, skipped", [
+    (ZZ, 1360, 90, 1306), (QQ, 235, 0, 18)])
+def test_verify_skips_pairs_by_the_loop_rule(monkeypatch, ring, s_pairs,
+                                             g_pairs, skipped):
+    # I_5 of K_{3,4}: verify forms exactly the pairs that the loop's
+    # rule keeps, read here off the tuple leading terms of the basis
+    m = generalized_distance_matrix(family("complete_bipartite", 3, 4))
+    ideal = Ideal(ring, m.vars, minors(m, 5))
+    basis = ideal.basis
+    pair = groebner._pair
+    formed = []
+
+    def counted(f, g, L, kind):
+        formed.append(kind)
+        return pair(f, g, L, kind)
+
+    monkeypatch.setattr(groebner, "_pair", counted)
+    assert ideal.verify() is True
+    lead = [p.leading() for p in basis]
+    kept = []
+    for i, (fm, fc) in enumerate(lead):
+        for gm, gc in lead[:i]:
+            if (mono_lcm(fm, gm) != mono_mul(fm, gm)
+                    or (ring == ZZ and gcd(fc, gc) != 1)):
+                kept.append("s")
+            if ring == ZZ and fc % gc and gc % fc:
+                kept.append("g")
+    assert formed == kept
+    assert (formed.count("s"), formed.count("g")) == (s_pairs, g_pairs)
+    pairs = comb(len(basis), 2) * (2 if ring == ZZ else 1)
+    assert pairs - len(formed) == skipped
+
+
 def test_determinism():
     gens = [2 * x() * y() - 4, 3 * x() - y(), y() ** 2 - 2]
     r1 = [p.render() for p in Ideal(ZZ, V, gens).basis]
@@ -210,7 +243,7 @@ def test_determinism():
 
 def test_zz_triviality_implies_qq():
     # corpus-wide coherence is covered in the acceptance suite; spot here
-    from distideal.graph import enumerate_connected
+    from distideal.graph import enumerate_connected, family
     from distideal.ideals import distance_ideal
     for g in enumerate_connected(4):
         if g.n < 2:
@@ -245,19 +278,22 @@ def test_qq_ideal_keeps_integer_generators(monkeypatch):
 def test_no_s_pair_with_coprime_leading_terms(monkeypatch):
     # the product criterion: over ZZ the leading coefficients must be
     # coprime too; over QQ the loop's integer polynomials have leading
-    # coefficients other than 1, which the criterion ignores
-    s_polynomial = groebner.s_polynomial
+    # coefficients other than 1, which the criterion ignores.  The loop
+    # hands the pair routine working basis triples (lm, lc, terms) with
+    # packed monomials, where the product of two monomials is their sum
+    pair = groebner._pair
     formed = []
     run = {}
 
-    def checked(f, g):
-        (fm, fc), (gm, gc) = f.leading(), g.leading()
-        assert (mono_lcm(fm, gm) != mono_mul(fm, gm)
-                or (run["ring"] == ZZ and gcd(fc, gc) != 1)), (f, g)
-        formed.append(run["ring"])
-        return s_polynomial(f, g)
+    def checked(f, g, L, kind):
+        if kind == "s":
+            (fm, fc, _), (gm, gc, _) = f, g
+            assert (L != fm + gm
+                    or (run["ring"] == ZZ and gcd(fc, gc) != 1)), (f, g)
+            formed.append(run["ring"])
+        return pair(f, g, L, kind)
 
-    monkeypatch.setattr(groebner, "s_polynomial", checked)
+    monkeypatch.setattr(groebner, "_pair", checked)
     for g in enumerate_connected(5):
         m = generalized_distance_matrix(g)
         for i in range(1, g.n + 1):

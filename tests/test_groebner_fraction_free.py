@@ -32,20 +32,21 @@ def _i5(g):
     (family("cycle", 7), 435), (family("path", 7), 378),
     (family("complete_bipartite", 3, 4), 235)], ids=["C7", "P7", "K34"])
 def test_i5_pair_sequence_pinned(monkeypatch, g, pairs):
-    s_polynomial = groebner.s_polynomial
+    pair = groebner._pair
     formed = []
 
-    def counted(f, h):
-        # the working basis: primitive integer polynomials, lc > 0
-        for p in f, h:
-            assert p.leading()[1] > 0 and gcd(*p.terms.values()) == 1
-        formed.append(1)
-        return s_polynomial(f, h)
+    def counted(f, h, L, kind):
+        # the working basis: primitive integer polynomials, lc > 0, as
+        # (lm, lc, terms) triples with packed monomials
+        for _, lc, terms in f, h:
+            assert lc > 0 and gcd(*(c for _, c in terms)) == 1
+        formed.append(kind)
+        return pair(f, h, L, kind)
 
-    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    monkeypatch.setattr(groebner, "_pair", counted)
     gens, variables = _i5(g)
     basis = buchberger(gens, QQ, variables)
-    assert len(formed) == pairs
+    assert formed == ["s"] * pairs
     assert _render(basis) == _render(
         ref.buchberger([p.to_ring(QQ) for p in gens], QQ, variables))
 
