@@ -116,18 +116,6 @@ def star_det(m):
     return y * full + (2 * y - 1) * sigma
 
 
-def star_minor_det(m, i):
-    """det of the star matrix with the center row and leaf column i
-    (1-based) removed."""
-    if not (1 <= i <= m):
-        raise ValueError("index out of range")
-    variables = star_vars(m)
-    one, xs = _gens_ring(variables)
-    shifted = [x - 2 for x in xs[:-1]]
-    term, = _subset_products(shifted[:i - 1] + shifted[i:], m - 1, one)
-    return term if (m - i) % 2 == 0 else -term
-
-
 def star_ideal_gens(m, k):
     if not (1 <= k <= m):
         raise ValueError("index out of range")

@@ -425,12 +425,6 @@ class Ideal:
             self._basis = tuple(buchberger(self.gens, self.ring, self.vars))
         return self._basis
 
-    def reduce(self, f):
-        return reduce_poly(f.to_ring(self.ring), self.basis)
-
-    def contains(self, f):
-        return self.reduce(f).is_zero()
-
     def is_trivial(self):
         # the reduced basis of the unit ideal is exactly (1)
         return self.basis == (Polynomial.const(self.ring, self.vars, 1),)

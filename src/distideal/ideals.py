@@ -3,8 +3,11 @@ minors, the distance-ideal chain, integer-point evaluation, and the
 distance characteristic polynomial.
 
 D(G, X) is built one way, as a ``SymbolicMatrix`` that makes its one
-integer minor memo when it is made, and Δ_i at a point is read off the
-Smith form by one routine, ``_delta``.
+integer minor memo, ``snf.LaplaceMemo``, when it is made.  Every reader
+of minors (the symbolic minors, the constant minors of a certificate and
+the principal minors of the characteristic polynomial) names a row and
+a column set by bitmasks, bit k for index k, and asks that one memo.
+Δ_i at a point is read off the Smith form by one routine, ``_delta``.
 
 One walker, ``ideal_chain``, serves every distance-ideal verdict.  It
 builds one symbolic matrix per graph and one ``Step`` per index i.  A
@@ -24,58 +27,104 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import snf
-from .graph import all_pairs_distances, emit_graph6
+from .graph import MAX_N, all_pairs_distances, emit_graph6
 from .groebner import Ideal, _ext_gcd
 from .poly import QQ, ZZ, Polynomial, make_vars
 
-# guard for the sum over i of C(n,i)^2 minors a chain expands, and for
-# the 2^n principal minors of the characteristic polynomial
+# guard for the sum over i of the C(n,i)(C(n,i)+1)/2 pairs of index sets
+# whose minors a chain expands, and for the 2^n principal minors of the
+# characteristic polynomial
 MAX_MINOR_N = 8
 
 
 class SymbolicMatrix:
     """diag(vars) + const: an integer matrix with the variable vars[k]
     added to its k-th diagonal entry.  Every minor is read off the
-    integer minors of ``const`` by ``det``, its one memo.
+    integer minors of ``const`` by ``det``, its one memo, which takes
+    row and column sets as bitmasks.
 
     ``const`` is symmetric (a distance matrix, or one of the family
     matrices), so minor(C, R) = minor(R, C)."""
 
-    __slots__ = ("vars", "const", "n", "det")
+    __slots__ = ("vars", "const", "n", "det", "_monos")
 
     def __init__(self, vars, const):
         self.vars, self.const, self.n = vars, const, len(const)
         self.det = snf.LaplaceMemo(const).det
+        self._monos = {}
 
     def minor(self, rsub, csub):
-        """Determinant of rows ``rsub`` and columns ``csub`` (sorted).
+        """Determinant of rows ``rsub`` and columns ``csub`` (sorted)."""
+        R, C = _mask(rsub), _mask(csub)
+        return self._polynomial(
+            self._terms(R, C, (_parity(R) ^ _parity(C)) & R & C))
+
+    def _terms(self, R, C, P):
+        """The minor on row mask R and column mask C as (rank, coefficient)
+        pairs, leading term first.
 
         It is multilinear in the variables x_k with k in both: the
-        coefficient of the product over a set S of them is the integer
-        minor without the rows and columns S, signed by the positions
-        of S in rsub and csub.  S = {} gives the constant term."""
+        coefficient of x^S, the product over a set S of them, is the
+        integer minor without the rows and columns S, negated when S
+        holds an odd number of the indices marked in P, those whose
+        positions in R and C sum to an odd number.  S = {} gives the
+        constant term.  rank(S) = (|S| << n) - S grows with x^S in
+        grevlex, since among squarefree monomials of one degree the
+        larger is the one without the highest index where they differ."""
         det, n = self.det, self.n
-        d = det(rsub, csub)
-        terms = {(0,) * n: d} if d else {}
-        common = [(k, pr + csub.index(k)) for pr, k in enumerate(rsub)
-                  if k in csub]
-        for size in range(1, len(common) + 1):
-            for S in combinations(common, size):
-                out = [k for k, _ in S]
-                d = det(tuple(r for r in rsub if r not in out),
-                        tuple(c for c in csub if c not in out))
-                if d:
-                    mono = [0] * n
-                    for k in out:
-                        mono[k] = 1
-                    terms[tuple(mono)] = -d if sum(p for _, p in S) % 2 else d
-        return Polynomial._make(ZZ, self.vars, terms)
+        common = R & C
+        terms = []
+        S = common
+        while True:
+            d = det(R ^ S, C ^ S)
+            if d:
+                terms.append(((S.bit_count() << n) - S,
+                              -d if (S & P).bit_count() & 1 else d))
+            if not S:
+                break
+            S = (S - 1) & common
+        terms.sort(reverse=True)
+        return terms
+
+    def _polynomial(self, terms):
+        """The Polynomial of (rank, coefficient) pairs; x^S is recovered
+        from its rank as -rank mod 2^n."""
+        monos, n = self._monos, self.n
+        full = (1 << n) - 1
+        out = {}
+        for rank, c in terms:
+            S = -rank & full
+            mono = monos.get(S)
+            if mono is None:
+                mono = monos[S] = tuple((S >> k) & 1 for k in range(n))
+            out[mono] = c
+        return Polynomial._make(ZZ, self.vars, out)
 
     @property
     def entries(self):
         """The matrix as rows of polynomial entries (its 1 x 1 minors)."""
         idx = range(self.n)
         return tuple(tuple(self.minor((r,), (c,)) for c in idx) for r in idx)
+
+
+def _mask(indices):
+    """The bitmask of a set of indices."""
+    return sum(1 << k for k in indices)
+
+
+def _indices(mask):
+    """The sorted index tuple of a bitmask."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return tuple(out)
+
+
+def _parity(mask):
+    """The bits of ``mask`` at odd positions within it (0-based)."""
+    return _mask(_indices(mask)[1::2])
 
 
 def generalized_distance_matrix(g):
@@ -91,18 +140,28 @@ def det_symbolic(matrix):
 def minors(matrix, i):
     """All nonzero i x i minors, deduplicated up to sign and sorted.
 
-    By symmetry each unordered pair of index sets is visited once."""
+    By symmetry each unordered pair of index sets is visited once.  A
+    minor is kept as its (rank, coefficient) terms, leading term first
+    and with a positive leading coefficient; those tuples sort as
+    ``Polynomial.sort_key`` does, so each kept minor becomes a
+    Polynomial only once, in its place in the output."""
     n = matrix.n
     if not (1 <= i <= n):
         raise ValueError("minor size out of range")
+    terms = matrix._terms
+    masks = snf.subset_masks(n, i)
+    parities = [_parity(R) for R in masks]
     seen = set()
-    subsets = list(combinations(range(n), i))
-    for a, rsub in enumerate(subsets):
-        for csub in subsets[a:]:
-            d = matrix.minor(rsub, csub)
-            if not d.is_zero():
-                seen.add(d if d.leading()[1] > 0 else -d)
-    return sorted(seen, key=lambda p: p.sort_key())
+    for a, R in enumerate(masks):
+        pr = parities[a]
+        for b in range(a, len(masks)):
+            C = masks[b]
+            t = terms(R, C, (pr ^ parities[b]) & R & C)
+            if t:
+                if t[0][1] < 0:
+                    t = [(rank, -c) for rank, c in t]
+                seen.add(tuple(t))
+    return [matrix._polynomial(t) for t in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +261,15 @@ def certify(m, i, ring=ZZ):
     that is the only case left)."""
     det = m.det
     pairs, coeffs, g = [], [], 0
-    for pair in _constant_pairs(m.n, i):
-        d = det(*pair)
+    for R, C in _constant_pairs(m.n, i):
+        d = det(R, C)
         if not d:
             continue
         if ring == QQ:
-            return Bezout((pair,), (Fraction(1, d),))
+            return Bezout(((_indices(R), _indices(C)),), (Fraction(1, d),))
         h, s, t = _ext_gcd(g, d)
         if h != g:
-            pairs.append(pair)
+            pairs.append((_indices(R), _indices(C)))
             coeffs = [s * c for c in coeffs] + [t]
             g = h
             if g == 1:
@@ -251,7 +310,7 @@ def check(cert, g, i, ring=ZZ):
                     and all(_is_index_set(s, i, n) for s in pair)
                     and not set(pair[0]) & set(pair[1])):
                 return False
-            total += c * m.det(*pair)
+            total += c * m.det(_mask(pair[0]), _mask(pair[1]))
         return total == 1
     if isinstance(cert, Point):
         p, a = cert
@@ -267,14 +326,22 @@ def check(cert, g, i, ring=ZZ):
     return False
 
 
+# the bit of each vertex of a graph
+_BITS = tuple(1 << k for k in range(MAX_N))
+
+
 def _constant_pairs(n, i):
-    """Each unordered pair of disjoint i-subsets of range(n), once: the
-    minor of a symmetric matrix does not change when they swap."""
-    for rsub in combinations(range(n), i):
-        rest = [v for v in range(n) if v not in rsub]
-        for csub in combinations(rest, i):
-            if rsub < csub:
-                yield rsub, csub
+    """Each unordered pair of disjoint i-subsets of range(n), once, as
+    row and column masks: the minor of a symmetric matrix does not change
+    when they swap.  The subsets are tuples of bit values while they are
+    compared, whose lex order is that of their index tuples, and the
+    pairs come lazily, since the Bezout scan often stops early."""
+    bits = _BITS[:n]
+    for rs in combinations(bits, i):
+        R = sum(rs)
+        for cs in combinations([b for b in bits if not b & R], i):
+            if rs < cs:
+                yield R, sum(cs)
 
 
 def _prime_factors(g):
@@ -369,9 +436,11 @@ def char_poly_distance(g, allow_large=False):
         raise ValueError("characteristic polynomial needs allow_large for "
                          "n=%d" % n)
     det = generalized_distance_matrix(g).det
+    sums = [0] * (n + 1)
+    for s in range(1 << n):
+        sums[s.bit_count()] += det(s, s)
     terms = {}
-    for k in range(n + 1):
-        e = sum(det(s, s) for s in combinations(range(n), k))
+    for k, e in enumerate(sums):
         if e:
             terms[(n - k,)] = -e if k % 2 else e
     p = Polynomial._make(ZZ, (CHAR_VAR,), terms)

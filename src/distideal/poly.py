@@ -191,18 +191,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power")
-        result = Polynomial.const(self.ring, self.vars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def term_mul(self, mono, coeff):
         """Multiply by a single term coeff * x^mono."""
         c = _coerce(self.ring, coeff)
@@ -227,25 +215,7 @@ class Polynomial:
                                frozenset(self.terms.items())))
         return self._hash
 
-    # -- evaluation ---------------------------------------------------------
-
-    def substitute(self, assignment):
-        """Partial evaluation; values are ring scalars, other vars stay."""
-        idx = {}
-        for name, value in assignment.items():
-            if name not in self.vars:
-                raise ValueError("unknown variable %r" % (name,))
-            idx[self.vars.index(name)] = _coerce(self.ring, value)
-        terms = {}
-        for mono, coeff in self.terms.items():
-            c = coeff
-            new = list(mono)
-            for i, val in idx.items():
-                c *= val ** mono[i]
-                new[i] = 0
-            m = tuple(new)
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(self.ring, self.vars, terms)
+    # -- conversion ---------------------------------------------------------
 
     def to_ring(self, ring):
         if ring == self.ring:

@@ -1,6 +1,7 @@
 """Smith normal form of integer matrices by elementary row/column
-operations, the memoized integer minor expansion that the symbolic
-matrices of ``ideals`` read their minors from, and the distance and
+operations, the memoized integer minor expansion, keyed by bitmasks of
+row and column sets, that every minor, determinant and characteristic
+polynomial of ``ideals`` is read from, and the distance and
 distance-Laplacian SNF of a graph.
 
 Pivots are chosen by minimal absolute value; when the pivot fails to
@@ -111,35 +112,50 @@ def smith_normal_form(matrix, with_transforms=False):
 
 class LaplaceMemo:
     """Memoized Laplace expansion of the square submatrices of one integer
-    matrix.
+    matrix, the one engine that every minor of the program is read from.
 
-    The determinant of rows ``rsub`` and columns ``csub`` expands along
-    its first row into determinants one size smaller, which the memo
-    keeps, so the i-minors of a matrix reuse every (i-1)-minor already
-    computed.
-    """
+    A submatrix is named by two bitmasks, its row set r and its column
+    set c (bit k stands for index k).  Its determinant expands along its
+    lowest row into determinants one size smaller, which the memo keeps
+    under the one int (r << ncols) | c, so the i-minors of a matrix reuse
+    every (i-1)-minor already computed."""
+
+    __slots__ = ("rows", "shift", "memo")
 
     def __init__(self, rows):
         self.rows = rows
+        self.shift = len(rows[0]) if rows else 0
         self.memo = {}
 
-    def det(self, rsub, csub):
-        if len(rsub) <= 1:
-            return self.rows[rsub[0]][csub[0]] if rsub else 1
-        key = (rsub, csub)
+    def det(self, r, c):
+        if not r & (r - 1):
+            # at most one row: no expansion, no memo
+            return self.rows[r.bit_length() - 1][c.bit_length() - 1] if r else 1
+        key = (r << self.shift) | c
         total = self.memo.get(key)
         if total is None:
-            row = self.rows[rsub[0]]
-            rest = rsub[1:]
+            low = r & -r
+            row = self.rows[low.bit_length() - 1]
+            rest = r ^ low
+            det = self.det
             total = 0
             sign = 1
-            for idx, c in enumerate(csub):
-                if row[c]:
-                    sub = csub[:idx] + csub[idx + 1:]
-                    total += sign * row[c] * self.det(rest, sub)
+            cols = c
+            while cols:
+                b = cols & -cols
+                cols ^= b
+                v = row[b.bit_length() - 1]
+                if v:
+                    total += sign * v * det(rest, c ^ b)
                 sign = -sign
             self.memo[key] = total
         return total
+
+
+def subset_masks(n, i):
+    """The bitmasks of the i-subsets of range(n), in the lex order of
+    their index tuples."""
+    return [sum(s) for s in combinations([1 << k for k in range(n)], i)]
 
 
 def minors_gcd(matrix, i):
@@ -153,10 +169,11 @@ def minors_gcd(matrix, i):
     if not (1 <= i <= min(rows, cols)):
         raise ValueError("minor size out of range")
     det = LaplaceMemo(matrix).det
+    col_masks = subset_masks(cols, i)
     g = 0
-    for rsub in combinations(range(rows), i):
-        for csub in combinations(range(cols), i):
-            g = gcd(g, det(rsub, csub))
+    for r in subset_masks(rows, i):
+        for c in col_masks:
+            g = gcd(g, det(r, c))
     return g
 
 

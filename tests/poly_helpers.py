@@ -1,11 +1,12 @@
-"""Polynomial helpers that only the tests need: composition, the tuple
-monomial arithmetic that the packed Groebner engine is checked against,
-and the in-place term update of the reference determinant engine."""
+"""Polynomial helpers that only the tests need: powers, partial
+evaluation and composition, the tuple monomial arithmetic that the
+packed Groebner engine is checked against, and the in-place term update
+of the reference determinant engine."""
 
 from heapq import heappush
 from operator import add, le, sub
 
-from distideal.poly import Polynomial, descending_key
+from distideal.poly import Polynomial, _coerce, descending_key
 
 
 def mono_mul(a, b):
@@ -45,6 +46,38 @@ def subtract_term_multiple(terms, heap, q, shift, items):
                 del terms[t]
 
 
+def power(p, e):
+    """p ** e by repeated squaring, for e >= 0."""
+    if e < 0:
+        raise ValueError("negative power")
+    result = Polynomial.const(p.ring, p.vars, 1)
+    while e:
+        if e & 1:
+            result = result * p
+        p = p * p
+        e >>= 1
+    return result
+
+
+def substitute(p, assignment):
+    """Partial evaluation; values are ring scalars, other vars stay."""
+    idx = {}
+    for name, value in assignment.items():
+        if name not in p.vars:
+            raise ValueError("unknown variable %r" % (name,))
+        idx[p.vars.index(name)] = _coerce(p.ring, value)
+    terms = {}
+    for mono, coeff in p.terms.items():
+        c = coeff
+        new = list(mono)
+        for i, val in idx.items():
+            c *= val ** mono[i]
+            new[i] = 0
+        m = tuple(new)
+        terms[m] = terms.get(m, 0) + c
+    return Polynomial(p.ring, p.vars, terms)
+
+
 def compose(p, target_vars, mapping):
     """Full substitution of p into a (possibly different) registry.
 
@@ -66,6 +99,6 @@ def compose(p, target_vars, mapping):
         term = Polynomial.const(p.ring, target_vars, coeff)
         for img, e in zip(images, mono):
             if e:
-                term = term * img ** e
+                term = term * power(img, e)
         result = result + term
     return result

@@ -24,7 +24,8 @@ from distideal.snf import (distance_laplacian_matrix, distance_laplacian_snf,
                            distance_snf, minors_gcd, phi_unit_count,
                            smith_normal_form)
 from graph_helpers import diameter
-from poly_helpers import compose
+from ideal_helpers import contains
+from poly_helpers import compose, power, substitute
 
 CLAW = build_graph(4, [(0, 1), (0, 2), (0, 3)])
 C4 = family("cycle", 4)
@@ -71,7 +72,7 @@ def _poly(variables, ring, spec):
     for coeff, monos in spec:
         term = Polynomial.const(ring, variables, coeff)
         for name, e in monos.items():
-            term = term * Polynomial.variable(ring, variables, name) ** e
+            term = term * power(Polynomial.variable(ring, variables, name), e)
         total = total + term
     return total
 
@@ -137,7 +138,7 @@ def test_criterion_03_k3_spectra():
         assert roots == [-1, 2]
         res = distance_ideal(family("complete", 3), 2, ZZ)
         for gen in res.ideal.gens:
-            assert gen.substitute({n: 1 for n in res.ideal.vars}).is_zero()
+            assert substitute(gen, {n: 1 for n in res.ideal.vars}).is_zero()
     _report(3, "triangle spectra and variety", body)
 
 
@@ -221,7 +222,7 @@ def test_criterion_08_monotonicity_suites():
                      for i in range(1, g.n + 1)]
             for lower, upper in zip(chain, chain[1:]):
                 for gen in upper.ideal.gens:
-                    assert lower.ideal.contains(gen)
+                    assert contains(lower.ideal, gen)
             # Phi <= phi
             assert trivial_count_phi(g, ZZ) <= phi_unit_count(g)
             # P4 propagation
@@ -240,7 +241,7 @@ def test_criterion_08_monotonicity_suites():
                     mapping = {"x%d" % j: "x%d" % vtx
                                for j, vtx in enumerate(sorted(subset))}
                     for gen in small.ideal.gens:
-                        assert big.ideal.contains(
+                        assert contains(big.ideal, 
                             embed(gen, big.ideal.vars, mapping))
     _report(8, "monotonicity suites over n<=5 corpus", body)
 

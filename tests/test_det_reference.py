@@ -1,18 +1,24 @@
 """Differential tests of the integer-memo minors, determinants and char
-polys against the fraction-free Bareiss engine of reference_det, and of
-the symmetric halving in ``minors`` against the full rows x columns
-enumeration."""
+polys against the fraction-free Bareiss engine of reference_det, of the
+bitmask Laplace memo against a permutation-sum determinant, of the
+symmetric halving in ``minors`` against the full rows x columns
+enumeration, and of the mask enumeration of constant minor pairs against
+the index-tuple one it replaced."""
 
-from itertools import combinations
+import random
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
 from distideal.families import (FamilySpec, _family_row, mdiag_matrix,
                                 star_matrix, verification_table)
 from distideal.graph import all_pairs_distances, enumerate_connected, family
-from distideal.ideals import (CHAR_VAR, char_poly_distance, det_symbolic,
-                              generalized_distance_matrix, minors)
+from distideal.ideals import (CHAR_VAR, _constant_pairs, char_poly_distance,
+                              det_symbolic, generalized_distance_matrix,
+                              minors)
 from distideal.poly import ZZ, Polynomial
+from distideal.snf import LaplaceMemo, minors_gcd
 from reference_det import PolyMatrix, det_bareiss
 
 
@@ -115,3 +121,90 @@ def test_matrix_constructors_are_symmetric():
     matrices += [star_matrix(m) for m in range(1, 8)] + _sweep_matrices()
     for mat in matrices:
         assert _is_symmetric(mat.const)
+
+
+def _det_leibniz(rows, rsub, csub):
+    """The determinant of rows rsub and columns csub as the signed sum
+    over permutations, the sign read off the inversion count."""
+    total = 0
+    for perm in permutations(csub):
+        inversions = sum(1 for a in range(len(perm))
+                         for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+        term = -1 if inversions % 2 else 1
+        for r, c in zip(rsub, perm):
+            term *= rows[r][c]
+        total += term
+    return total
+
+
+def _random_matrix(rng, nrows, ncols):
+    """Small integers, not symmetric, with a zero row now and then."""
+    rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    return rows
+
+
+def _bits(indices):
+    return sum(1 << k for k in indices)
+
+
+def test_laplace_memo_matches_leibniz():
+    rng = random.Random(41)
+    for n in range(1, 6):
+        for _ in range(8):
+            rows = _random_matrix(rng, n, n)
+            det = LaplaceMemo(rows).det
+            assert det(0, 0) == 1
+            for i in range(1, n + 1):
+                for rsub in combinations(range(n), i):
+                    for csub in combinations(range(n), i):
+                        assert det(_bits(rsub), _bits(csub)) == \
+                            _det_leibniz(rows, rsub, csub), (rows, rsub, csub)
+    for _ in range(6):
+        rows = _random_matrix(rng, 6, 6)
+        full = tuple(range(6))
+        assert LaplaceMemo(rows).det(63, 63) == _det_leibniz(rows, full, full)
+
+
+def test_laplace_memo_rectangular_minors_gcd():
+    rng = random.Random(43)
+    for nrows, ncols in ((1, 4), (2, 5), (3, 6), (4, 3), (5, 2), (6, 4)):
+        for _ in range(4):
+            rows = _random_matrix(rng, nrows, ncols)
+            det = LaplaceMemo(rows).det
+            for i in range(1, min(nrows, ncols) + 1):
+                want = 0
+                for rsub in combinations(range(nrows), i):
+                    for csub in combinations(range(ncols), i):
+                        d = _det_leibniz(rows, rsub, csub)
+                        assert det(_bits(rsub), _bits(csub)) == d
+                        want = gcd(want, d)
+                assert minors_gcd(rows, i) == want, (rows, i)
+
+
+def _reference_constant_pairs(n, i):
+    """The index-tuple enumeration that the mask one replaced."""
+    for rsub in combinations(range(n), i):
+        rest = [v for v in range(n) if v not in rsub]
+        for csub in combinations(rest, i):
+            if rsub < csub:
+                yield rsub, csub
+
+
+def test_constant_pairs_match_tuple_enumeration():
+    def indices(mask):
+        return tuple(k for k in range(n) if mask >> k & 1)
+
+    for n in range(1, 9):
+        for i in range(1, n // 2 + 1):
+            got = [(indices(r), indices(c)) for r, c in _constant_pairs(n, i)]
+            assert got == list(_reference_constant_pairs(n, i)), (n, i)
+
+
+@pytest.mark.parametrize("spec", [("cycle", 7), ("path", 7),
+                                  ("complete_bipartite", 3, 4)])
+def test_seven_vertex_minors_match_full_enumeration(spec):
+    m = generalized_distance_matrix(family(*spec))
+    for i in range(1, m.n + 1):
+        assert minors(m, i) == _reference_minors(m, i)

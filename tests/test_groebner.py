@@ -10,7 +10,8 @@ from distideal.groebner import (Ideal, buchberger,
                                 s_polynomial)
 from distideal.ideals import generalized_distance_matrix, minors
 from distideal.poly import QQ, ZZ, Polynomial, make_vars, monomial_key
-from poly_helpers import mono_lcm, mono_mul
+from ideal_helpers import contains
+from poly_helpers import mono_lcm, mono_mul, power
 
 V = make_vars(2)
 
@@ -24,7 +25,7 @@ def y(ring=ZZ):
 
 
 def test_reduce_field_power():
-    assert reduce_poly((x(QQ)) ** 2, [x(QQ)]).is_zero()
+    assert reduce_poly(power(x(QQ), 2), [x(QQ)]).is_zero()
 
 
 def test_reduce_zz_euclidean():
@@ -38,8 +39,9 @@ def test_reduce_zz_negative_leading_divisor():
     # between the divisors forever
     v3 = make_vars(3)
     x0, x1, x2 = (Polynomial.variable(ZZ, v3, v) for v in v3)
-    f = 3 * x0 ** 3 * x1 ** 2 * x2 ** 2
-    basis = [-4 * x0 * x1 ** 2 * x2 ** 2, 2 * x2, 4 * x0 * x1 ** 2]
+    f = 3 * power(x0, 3) * power(x1, 2) * power(x2, 2)
+    basis = [-4 * x0 * power(x1, 2) * power(x2, 2), 2 * x2,
+             4 * x0 * power(x1, 2)]
     assert reduce_poly(f, basis).render() == "x0^3*x1^2*x2^2"
     assert reduce_poly(f, basis) == reduce_poly(f, [-basis[0]] + basis[1:])
 
@@ -61,7 +63,7 @@ def test_s_polynomial_monomials():
 
 def test_s_polynomial_example():
     f = x() * y() - 1
-    g = x() ** 2
+    g = power(x(), 2)
     assert s_polynomial(f, g) == -x()
 
 
@@ -84,14 +86,14 @@ def test_groebner_gcd_collapse():
     basis = buchberger([2 * x(), 3 * x()], ZZ, V)
     assert basis == [x()]
     ideal = Ideal(ZZ, V, [2 * x(), 3 * x()])
-    assert ideal.contains(x())
+    assert contains(ideal, x())
 
 
 def test_groebner_two_and_x():
     ideal = Ideal(ZZ, V, [Polynomial.const(ZZ, V, 2), x()])
     assert [p.render() for p in ideal.basis] == ["2", "x0"]
     # 1 is not reachable: the quotient is Z/2
-    assert not ideal.contains(Polynomial.const(ZZ, V, 1))
+    assert not contains(ideal, Polynomial.const(ZZ, V, 1))
     assert not ideal.is_trivial()
 
 
@@ -114,7 +116,7 @@ def test_nontrivial_despite_coprime_constants():
 
 def test_contains_product_combination():
     ideal = Ideal(ZZ, V, [x() - 1, y() - 1])
-    assert ideal.contains(x() * y() - 1)
+    assert contains(ideal, x() * y() - 1)
 
 
 def test_ideals_equal_orientation():
@@ -126,12 +128,12 @@ def test_ideals_equal_orientation():
 
 
 def test_basis_self_verify():
-    gens = [x() * y() - 1, x() ** 2 - y(), 2 * y() ** 2 - 3]
+    gens = [x() * y() - 1, power(x(), 2) - y(), 2 * power(y(), 2) - 3]
     assert Ideal(ZZ, V, gens).verify()
 
 
 def test_basis_self_verify_qq():
-    gens = [x(QQ) * y(QQ) - 1, x(QQ) ** 2 - y(QQ)]
+    gens = [x(QQ) * y(QQ) - 1, power(x(QQ), 2) - y(QQ)]
     assert Ideal(QQ, V, gens).verify()
 
 
@@ -143,8 +145,8 @@ def _with_basis(ring, gens, basis):
 
 
 VERIFY_CASES = [
-    (ZZ, [x() * y() - 1, x() ** 2 - y(), 2 * y() ** 2 - 3]),
-    (QQ, [x(QQ) * y(QQ) - 1, x(QQ) ** 2 - y(QQ)]),
+    (ZZ, [x() * y() - 1, power(x(), 2) - y(), 2 * power(y(), 2) - 3]),
+    (QQ, [x(QQ) * y(QQ) - 1, power(x(QQ), 2) - y(QQ)]),
 ]
 
 
@@ -235,7 +237,7 @@ def test_verify_skips_pairs_by_the_loop_rule(monkeypatch, ring, s_pairs,
 
 
 def test_determinism():
-    gens = [2 * x() * y() - 4, 3 * x() - y(), y() ** 2 - 2]
+    gens = [2 * x() * y() - 4, 3 * x() - y(), power(y(), 2) - 2]
     r1 = [p.render() for p in Ideal(ZZ, V, gens).basis]
     r2 = [p.render() for p in Ideal(ZZ, V, list(reversed(gens))).basis]
     assert r1 == r2

@@ -10,7 +10,7 @@ import reference_groebner as ref
 from distideal import groebner
 from distideal.groebner import buchberger, reduce_poly
 from distideal.poly import QQ, ZZ, Polynomial, make_vars, monomial_key
-from poly_helpers import mono_divides, mono_lcm, mono_mul
+from poly_helpers import mono_divides, mono_lcm, mono_mul, power
 
 
 def _render(basis):
@@ -68,7 +68,8 @@ def test_run_restarts_on_wider_fields():
     # bound, and the run restarts on 16-bit fields
     v = make_vars(3)
     x, y, z = (Polynomial.variable(ZZ, v, name) for name in v)
-    gens = [x ** 60 * y - z ** 3, x * y ** 60 - 3 * z, z ** 61 - x]
+    gens = [power(x, 60) * y - power(z, 3), x * power(y, 60) - 3 * z,
+            power(z, 61) - x]
     for ring in (ZZ, QQ):
         events = []
         fields, pair = groebner._Fields, groebner._pair

@@ -27,7 +27,7 @@ from distideal.poly import QQ, ZZ, Polynomial, make_vars
 v = make_vars(2)
 for ring in (ZZ, QQ):
     x0, x1 = (Polynomial.variable(ring, v, name) for name in v)
-    ideal = Ideal(ring, v, [x0 * x1 - 1, x0 ** 2 - x1])
+    ideal = Ideal(ring, v, [x0 * x1 - 1, x0 * x0 - x1])
     ideal._basis = (x0,)
     print(ideal.verify())
 """

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from distideal.poly import QQ, ZZ, Polynomial, make_vars, monomial_key
-from poly_helpers import compose
+from poly_helpers import compose, power, substitute
 from reference_det import exact_div
 
 V = make_vars(3)
@@ -49,17 +49,17 @@ def test_mul_by_zero():
 
 def test_substitute_to_constant():
     f = x(1) * x(2) - 1
-    assert f.substitute({"x1": 0, "x2": 0}) == const(-1)
+    assert substitute(f, {"x1": 0, "x2": 0}) == const(-1)
 
 
 def test_substitute_root():
     f = x(0) - 2
-    assert f.substitute({"x0": 2}).is_zero()
+    assert substitute(f, {"x0": 2}).is_zero()
 
 
 def test_substitute_unknown_var():
     with pytest.raises(ValueError):
-        x(0).substitute({"zz": 1})
+        substitute(x(0), {"zz": 1})
 
 
 def test_compose_fresh_variable():
@@ -68,7 +68,7 @@ def test_compose_fresh_variable():
     lam_vars = ("lam",)
     lam = Polynomial.variable(ZZ, lam_vars, "lam")
     g = compose(f, lam_vars, {"x0": -lam, "x1": -lam, "x2": -lam})
-    assert g == -(lam ** 3) + 3 * lam + 2
+    assert g == -power(lam, 3) + 3 * lam + 2
 
 
 def test_exact_div():
@@ -112,9 +112,9 @@ def test_representation_invariants(ring):
         point = {v: rng.randint(-2, 2) for v in V[:rng.randint(0, 3)]}
         results = [Polynomial.zero(ring, V), f + g, f - g, f + (-f), -f,
                    f + 1, 1 - f, f * g, f * scalar, scalar * f, f * 0,
-                   f ** 0, f ** 3, f.term_mul(mono, scalar),
+                   power(f, 0), power(f, 3), f.term_mul(mono, scalar),
                    f.term_mul(mono, 0),
-                   f.substitute(point), f.to_ring(ring)]
+                   substitute(f, point), f.to_ring(ring)]
         for p in results:
             _check_representation(p, ring)
         _check_representation(f.to_ring(ZZ), ZZ)
@@ -160,8 +160,8 @@ def test_substitute_is_homomorphism():
     for _ in range(40):
         f, g = _random_poly(rng), _random_poly(rng)
         point = {v: rng.randint(-3, 3) for v in V}
-        assert (f * g).substitute(point) == f.substitute(point) * g.substitute(point)
-        assert (f + g).substitute(point) == f.substitute(point) + g.substitute(point)
+        assert substitute(f * g, point) == substitute(f, point) * substitute(g, point)
+        assert substitute(f + g, point) == substitute(f, point) + substitute(g, point)
 
 
 def test_substitute_matches_term_sum():
@@ -169,7 +169,7 @@ def test_substitute_matches_term_sum():
     for _ in range(20):
         f = _random_poly(rng)
         point = {v: rng.randint(-3, 3) for v in V}
-        vg = f.substitute(point).constant_value()
+        vg = substitute(f, point).constant_value()
         total = 0
         for mono, coeff in f.terms.items():
             term = coeff
@@ -183,7 +183,7 @@ def test_render():
     f = 2 * x(0) * x(1) - 4 * x(0) - x(1) + 2
     assert f.render() == "2*x0*x1 - 4*x0 - x1 + 2"
     assert Polynomial.zero(ZZ, V).render() == "0"
-    assert (x(0) ** 2).render() == "x0^2"
+    assert power(x(0), 2).render() == "x0^2"
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ])
