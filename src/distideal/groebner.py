@@ -1,6 +1,6 @@
 """Groebner bases over QQ and strong Groebner bases over ZZ in grevlex,
 computed by one Buchberger loop, and the Ideal that owns its reduced
-basis and answers reduction, membership and triviality questions.
+basis and answers triviality questions.
 ``Ideal.verify`` re-checks a basis B and returns a verdict: every
 generator and every pair of B that the loop's pair rule keeps reduces
 to zero, so the ideal lies in (B) and B is a Groebner basis of (B).
@@ -21,12 +21,14 @@ degree sits above them.  The int kept is the monomial's grevlex heap key
 2*(m & LOW) - m = E - (degree << n*B), E the exponent fields: the
 smaller key is the larger monomial, a product is an addition, and g
 divides m iff (m - g) & GUARD == 0.  A polynomial is a dict from these
-keys to integer coefficients, and the working basis holds (lm, lc, term
-list) triples with the term list in descending order.  B starts from the
-input's degree; a pair whose lcm reaches degree 2^(B-1) restarts the run
-with fields twice as wide, since no monomial of a reduction outgrows the
-degree of what it reduces.  The divisor scan keeps the first-divisor
-rule and remembers, per monomial, which basis elements divide it.
+keys to integer coefficients; packing keeps a Polynomial's leading-first
+order and unpacking expects it, so neither sorts.  The working basis
+holds (lm, lc, term list) triples with the term list in descending
+order.  B starts from the input's degree; a pair whose lcm reaches
+degree 2^(B-1) restarts the run with fields twice as wide, since no
+monomial of a reduction outgrows the degree of what it reduces.  The
+divisor scan keeps the first-divisor rule and remembers, per monomial,
+which basis elements divide it.
 """
 
 from __future__ import annotations
@@ -130,14 +132,15 @@ def _clear(p):
 
 
 def _pack(p, fields):
-    """The packed term dict of an integer polynomial, leading term first."""
+    """The packed term dict of an integer polynomial, leading term first
+    as in p: packing maps descending grevlex to ascending keys."""
     pack = fields.pack
-    return dict(sorted((pack(m), c) for m, c in p.terms.items()))
+    return {pack(m): c for m, c in p.terms.items()}
 
 
 def _unpack(terms, fields, ring, variables, den=1):
-    """The Polynomial of packed (m, c) pairs; over QQ each c is divided
-    by den."""
+    """The Polynomial of packed (m, c) pairs in ascending key order, so
+    leading term first; over QQ each c is divided by den."""
     unpack = fields.unpack
     if ring == QQ:
         return Polynomial._make(QQ, variables, {
@@ -290,7 +293,8 @@ def _pair_polynomial(kind, f, g):
     fields = _Fields(len(f.vars), _width([f, g]) + 1)
     a, b = (_triple(_pack(p, fields)) for p in (f, g))
     h = _pair(a, b, fields.lcm(a[0], b[0]), kind)
-    return _unpack(h.items(), fields, f.ring, f.vars)
+    # _pair appends g's new terms after f's, so its dict is unordered
+    return _unpack(sorted(h.items()), fields, f.ring, f.vars)
 
 
 def s_polynomial(f, g):

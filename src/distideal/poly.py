@@ -6,6 +6,8 @@ over QQ, given as ints or Fractions only, so arithmetic never overflows
 or rounds; the Groebner engine computes over QQ on integer polynomials.
 Terms are ordered by graded reverse lexicographic order (grevlex), the
 only term order: the triviality of an ideal does not depend on it.
+Every Polynomial keeps its term dict in that order, leading term first;
+the order is set where terms are made, and readers rely on it.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ def monomial_key(mono):
     return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
-def descending_key(mono):
-    """Sort key under which the larger monomial comes first: the
-    monomial_key with every entry negated."""
-    return (-sum(mono), mono[::-1])
+def _leading_first(terms):
+    """The nonzero terms of a term dict in descending grevlex, leading
+    term first."""
+    order = sorted(terms, key=monomial_key, reverse=True)
+    return {m: terms[m] for m in order if terms[m]}
 
 
 def _coerce(ring, c):
@@ -50,12 +53,13 @@ def _coerce(ring, c):
 class Polynomial:
     """Immutable exact polynomial: ring tag, variable registry, term dict.
 
-    The public constructor coerces and validates its input; ``_make``
-    trusts it.  Either way ``terms`` holds no zero coefficient, and its
-    coefficients are ints over ZZ and Fractions over QQ.
+    The public constructor coerces, validates and orders its input;
+    ``_make`` trusts it.  Either way ``terms`` holds no zero coefficient,
+    its coefficients are ints over ZZ and Fractions over QQ, and it is
+    kept leading term first.
     """
 
-    __slots__ = ("ring", "vars", "terms", "_hash", "_lead")
+    __slots__ = ("ring", "vars", "terms")
 
     def __init__(self, ring, variables, terms):
         variables = tuple(variables)
@@ -65,18 +69,16 @@ class Polynomial:
                 raise ValueError("exponent vector length mismatch")
             if not all(isinstance(e, int) and e >= 0 for e in mono):
                 raise ValueError("bad exponent vector %r" % (mono,))
-            c = _coerce(ring, coeff)
-            if c:
-                clean[tuple(mono)] = c
-        self.ring, self.vars, self.terms = ring, variables, clean
-        self._hash = self._lead = None
+            clean[tuple(mono)] = _coerce(ring, coeff)
+        self.ring, self.vars = ring, variables
+        self.terms = _leading_first(clean)
 
     @classmethod
     def _make(cls, ring, variables, terms):
-        """Wrap a term dict that is already ring-typed and zero-free."""
+        """Wrap a term dict that is already ring-typed, zero-free and in
+        descending grevlex, leading term first."""
         p = object.__new__(cls)
         p.ring, p.vars, p.terms = ring, variables, terms
-        p._hash = p._lead = None
         return p
 
     # -- constructors -------------------------------------------------------
@@ -123,23 +125,15 @@ class Polynomial:
     # -- term access --------------------------------------------------------
 
     def leading(self):
-        """(monomial, coefficient) of the leading term, cached."""
-        lead = self._lead
-        if lead is None:
-            if not self.terms:
-                raise ValueError("zero polynomial has no leading term")
-            m = min(self.terms, key=descending_key)
-            lead = self._lead = (m, self.terms[m])
-        return lead
-
-    def sorted_terms(self):
-        """(monomial, coefficient) pairs, leading term first."""
-        return sorted(self.terms.items(), key=lambda t: descending_key(t[0]))
+        """(monomial, coefficient) of the leading term, the first."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        return next(iter(self.terms.items()))
 
     def sort_key(self):
         """Deterministic total-order key on the polynomials of one ring
         (for stable output)."""
-        return tuple((monomial_key(m), c) for m, c in self.sorted_terms())
+        return tuple((monomial_key(m), c) for m, c in self.terms.items())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -155,12 +149,8 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            c += terms.get(m, 0)
-            if c:
-                terms[m] = c
-            else:
-                del terms[m]
-        return Polynomial._make(self.ring, self.vars, terms)
+            terms[m] = terms.get(m, 0) + c
+        return Polynomial._make(self.ring, self.vars, _leading_first(terms))
 
     __radd__ = __add__
 
@@ -186,13 +176,13 @@ class Polynomial:
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
                 terms[m] = get(m, 0) + c1 * c2
-        return Polynomial._make(self.ring, self.vars,
-                                {m: c for m, c in terms.items() if c})
+        return Polynomial._make(self.ring, self.vars, _leading_first(terms))
 
     __rmul__ = __mul__
 
     def term_mul(self, mono, coeff):
-        """Multiply by a single term coeff * x^mono."""
+        """Multiply by a single term coeff * x^mono; grevlex is a monomial
+        order, so the terms keep their order."""
         c = _coerce(self.ring, coeff)
         if not c:
             return Polynomial._make(self.ring, self.vars, {})
@@ -210,10 +200,7 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.vars,
-                               frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ring, self.vars, frozenset(self.terms.items())))
 
     # -- conversion ---------------------------------------------------------
 
@@ -228,7 +215,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for i, (mono, coeff) in enumerate(self.sorted_terms()):
+        for i, (mono, coeff) in enumerate(self.terms.items()):
             factors = []
             for name, e in zip(self.vars, mono):
                 if e == 1:

@@ -1,12 +1,19 @@
 """Polynomial helpers that only the tests need: powers, partial
 evaluation and composition, the tuple monomial arithmetic that the
-packed Groebner engine is checked against, and the in-place term update
-of the reference determinant engine."""
+packed Groebner engine is checked against, the in-place term update
+of the reference determinant engine, and a rendering that sorts its
+terms itself."""
 
 from heapq import heappush
 from operator import add, le, sub
 
-from distideal.poly import Polynomial, _coerce, descending_key
+from distideal.poly import Polynomial, _coerce
+
+
+def descending_key(mono):
+    """Sort key under which the larger monomial in grevlex comes first:
+    ``monomial_key`` with every entry negated."""
+    return (-sum(mono), mono[::-1])
 
 
 def mono_mul(a, b):
@@ -102,3 +109,23 @@ def compose(p, target_vars, mapping):
                 term = term * power(img, e)
         result = result + term
     return result
+
+
+def render_reference(p):
+    """``Polynomial.render`` that sorts the terms by ``descending_key``
+    instead of reading them in their kept order."""
+    if not p.terms:
+        return "0"
+    parts = []
+    items = sorted(p.terms.items(), key=lambda t: descending_key(t[0]))
+    for i, (mono, coeff) in enumerate(items):
+        factors = ["%s^%d" % (name, e) if e > 1 else name
+                   for name, e in zip(p.vars, mono) if e]
+        mag = abs(coeff)
+        body = "*".join(([] if mag == 1 and factors else [str(mag)])
+                        + factors)
+        if i == 0:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts)

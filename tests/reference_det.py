@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop
 
-from distideal.poly import ZZ, Polynomial, descending_key
-from poly_helpers import mono_div, subtract_term_multiple
+from distideal.poly import ZZ, Polynomial
+from poly_helpers import descending_key, mono_div, subtract_term_multiple
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from distideal.families import (complete_ideal_gens, mdiag_det,
+                                 mdiag_ideal_gens, star_det, star_ideal_gens)
+from distideal.graph import family
+from distideal.groebner import (Ideal, gcd_polynomial, reduce_poly,
+                                s_polynomial)
+from distideal.ideals import (char_poly_distance,
+                              generalized_distance_matrix, minors)
 from distideal.poly import QQ, ZZ, Polynomial, make_vars, monomial_key
-from poly_helpers import compose, power, substitute
+from poly_helpers import compose, power, render_reference, substitute
 from reference_det import exact_div
 
 V = make_vars(3)
@@ -87,12 +94,13 @@ def _random_poly(rng, ring=ZZ):
 
 
 def _check_representation(p, ring):
-    """No zero coefficient, ring-typed coefficients, and a cached leading
-    term equal to a fresh max (asked twice, so the second answer comes
-    from the cache); the zero polynomial has none."""
+    """No zero coefficient, ring-typed coefficients, terms kept leading
+    first, and a leading term equal to a fresh max (asked twice, so the
+    first read changes nothing); the zero polynomial has none."""
     assert p.ring == ring
     kind = int if ring == ZZ else Fraction
     assert all(c != 0 and type(c) is kind for c in p.terms.values())
+    assert list(p.terms) == sorted(p.terms, key=monomial_key, reverse=True)
     if not p.terms:
         with pytest.raises(ValueError):
             p.leading()
@@ -115,10 +123,37 @@ def test_representation_invariants(ring):
                    power(f, 0), power(f, 3), f.term_mul(mono, scalar),
                    f.term_mul(mono, 0),
                    substitute(f, point), f.to_ring(ring)]
+        results.append(reduce_poly(f, [g, f * g + 1]))
         for p in results:
             _check_representation(p, ring)
         _check_representation(f.to_ring(ZZ), ZZ)
         _check_representation(f.to_ring(QQ), QQ)
+        fz, gz = f.to_ring(ZZ), g.to_ring(ZZ)
+        if not (fz.is_zero() or gz.is_zero()):
+            _check_representation(s_polynomial(fz, gz), ZZ)
+            _check_representation(gcd_polynomial(fz, gz), ZZ)
+    # the polynomials that the rest of the program builds
+    for kind, *params in (("cycle", 5), ("star", 3), ("path", 4),
+                          ("complete_bipartite", 2, 3)):
+        g = family(kind, *params)
+        mat = generalized_distance_matrix(g)
+        for row in mat.entries:
+            for p in row:
+                _check_representation(p, ZZ)
+        for i in range(1, g.n + 1):
+            gens = minors(mat, i)
+            for p in gens:
+                _check_representation(p, ZZ)
+            for p in Ideal(ring, mat.vars, gens).basis:
+                _check_representation(p, ring)
+        _check_representation(char_poly_distance(g)[0], ZZ)
+    closed_forms = [mdiag_det(3, 2), star_det(3)]
+    for k in range(1, 5):
+        closed_forms += complete_ideal_gens(4, k)
+    for k in range(1, 4):
+        closed_forms += mdiag_ideal_gens(4, 2, k) + star_ideal_gens(3, k)
+    for p in closed_forms:
+        _check_representation(p, ZZ)
 
 
 def test_public_constructor_coerces():
@@ -184,6 +219,27 @@ def test_render():
     assert f.render() == "2*x0*x1 - 4*x0 - x1 + 2"
     assert Polynomial.zero(ZZ, V).render() == "0"
     assert power(x(0), 2).render() == "x0^2"
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_render_matches_reference(ring):
+    # terms inserted in random order, Fraction coefficients over QQ, and
+    # as many negative leading coefficients as positive ones
+    rng = random.Random(23)
+    W = make_vars(4)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            mono = tuple(rng.randint(0, 3) for _ in W)
+            c = rng.choice([-3, -1, 1, 2, 5])
+            if ring == QQ:
+                c = Fraction(c, rng.choice([1, 1, 2, 3, 7]))
+            terms[mono] = c
+        f = Polynomial(ring, W, terms)
+        if not f.is_zero() and (f.leading()[1] > 0) != (rng.random() < 0.5):
+            f = -f
+        for p in (f, f * f - f, f + 1, -f):
+            assert p.render() == render_reference(p)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ])
