@@ -2,8 +2,18 @@
 computed by one Buchberger loop, and the Ideal that owns its reduced
 basis and answers triviality questions.
 ``Ideal.verify`` re-checks a basis B and returns a verdict: every
-generator and every pair of B that the loop's pair rule keeps reduces
-to zero, so the ideal lies in (B) and B is a Groebner basis of (B).
+generator and every pair of B that ``_pair_kinds`` keeps reduces to
+zero, so the ideal lies in (B) and B is a Groebner basis of (B).
+
+``_pair_kinds`` is the static pair rule: the product criterion, and no
+gcd-pair when one leading coefficient divides the other.  The loop
+skips more when it pops a pair of lcm L, before building it: an S-pair
+by Buchberger's chain criterion (Gebauer & Moeller, J. Symbolic Comput.
+6, 1988), a ZZ gcd-pair when another element's leading term divides
+the pair's (Lichtblau, "Effective computation of strong Groebner bases
+over Euclidean domains", 2012).  Both depend on the working basis and
+the queue, so ``verify`` does not use them and checks a superset of
+the pairs the loop reduces.
 
 Both rings run on integer polynomials with positive leading
 coefficients and one reduction loop, ``_reduce``: Euclidean on the
@@ -169,16 +179,27 @@ def _sort_key(p):
     return tuple((-m, c) for m, c in p[2])
 
 
+def _dividing(m, divisors, guard, found):
+    """The indices, ascending, of the divisors whose lm divides m.
+    ``found`` maps each m asked to (k, the indices among the first k),
+    so each divisibility test runs once; a caller that shares it between
+    calls may only append to ``divisors`` in between."""
+    seen, hits = found.get(m, (0, ()))
+    k = len(divisors)
+    if seen < k:
+        hits += tuple(i for i in range(seen, k)
+                      if not (m - divisors[i][0]) & guard)
+        found[m] = k, hits
+    return hits
+
+
 def _reduce(h, divisors, field, guard, found):
     """Reduce the packed term dict h in place, its leading term c*m at
     the heap's top, by the first divisor g (lc g > 0) with lm g | m: over
     ZZ h -= (c // lc g)*x^s*g, where a zero quotient tries the next g;
     over QQ (``field``) h <- (lc g / d)*h - (c / d)*x^s*g, d = gcd(c, lc g).
     Returns the remainder, leading term first, and the multiplier of the
-    normal form it is.  ``found`` maps each m seen to (k, the divisors
-    among the first k whose lm divides m), so each divisibility test
-    runs once; a caller that shares it between calls may only append to
-    ``divisors`` in between."""
+    normal form it is.  ``found`` is the memo of ``_dividing``."""
     heap = list(h)
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -193,10 +214,8 @@ def _reduce(h, divisors, field, guard, found):
             continue
         seen, hits = found.get(m, (0, ()))
         if seen < k:
-            hits += tuple(g for g in divisors[seen:]
-                          if not (m - g[0]) & guard)
-            found[m] = k, hits
-        for gm, gc, gterms in hits:
+            hits = _dividing(m, divisors, guard, found)
+        for gm, gc, gterms in map(divisors.__getitem__, hits):
             if field:
                 d = gcd(c, gc)
                 q, a = c // d, gc // d
@@ -340,12 +359,35 @@ def _minimize_and_interreduce(G, fields, ring, variables):
 
 def _complete(start, fields, field):
     """The loop: the working basis that completes the packed start list,
-    or None at a unit."""
+    or None at a unit.
+
+    A popped pair (i, j) of lcm L is skipped, unbuilt, when some other
+    element k has lm k | L and
+    - for an S-pair, over ZZ lc k | lcm(lc i, lc j), and neither S-pair
+      (i, k) nor (j, k) is still queued: Buchberger's chain criterion.
+      Then S_ij = (T_ij/T_ik)*S_ik - (T_ij/T_jk)*S_jk, T the lcm of two
+      leading terms, and both pairs on the right were settled earlier;
+    - for a gcd-pair, lc k | gcd(lc i, lc j): k's leading term already
+      divides the pair's, which is all a strong basis asks of it."""
     guard, lcm_of = fields.guard, fields.lcm
     found = {}
     G = []
     queue = []  # (-lcm, counter, i, j, kind): lowest lcm first
+    queued = set()  # the S-pairs (i, j), i < j, still in the queue
     counter = 0
+
+    def redundant(i, j, L, kind):
+        if kind == "s":
+            queued.discard((i, j))
+        # over QQ the leading coefficients do not matter
+        c = (lcm if kind == "s" else gcd)(G[i][1], G[j][1])
+        for k in _dividing(L, G, guard, found):
+            if k == i or k == j or not field and c % G[k][1]:
+                continue
+            if kind == "g" or ((min(i, k), max(i, k)) not in queued
+                               and (min(j, k), max(j, k)) not in queued):
+                return True
+        return False
 
     def candidates():
         # the queue grows while the loop below consumes this; _pair is
@@ -353,7 +395,8 @@ def _complete(start, fields, field):
         yield from start
         while queue:
             L, _, i, j, kind = heapq.heappop(queue)
-            yield _pair(G[i], G[j], -L, kind)
+            if not redundant(i, j, -L, kind):
+                yield _pair(G[i], G[j], -L, kind)
 
     for h in candidates():
         h, _ = _reduce(h, G, field, guard, found)
@@ -368,6 +411,8 @@ def _complete(start, fields, field):
             for kind in _pair_kinds(g, f, L, field):
                 heapq.heappush(queue, (-L, counter, j, len(G), kind))
                 counter += 1
+                if kind == "s":
+                    queued.add((j, len(G)))
         G.append(f)
     return G
 

@@ -1,7 +1,8 @@
 """The QQ Groebner engine runs on primitive integer polynomials: it forms
-the same S-pairs in the same order as the field engine it replaced,
-does Fraction arithmetic only to make the finished basis monic, and
-agrees with the reference oracle on input with denominators."""
+a subset of the S-pairs of the field engine it replaced, the ones the
+chain criterion keeps, does Fraction arithmetic only to make the
+finished basis monic, and agrees with the reference oracle on input
+with denominators."""
 
 import random
 from fractions import Fraction
@@ -27,11 +28,11 @@ def _i5(g):
     return minors(m, 5), m.vars
 
 
-# S-pairs formed for I_5 over QQ by the field engine, which took the
-# monic generators in the same order
+# S-pairs formed for I_5 over QQ once the chain criterion skips some;
+# the field engine, without it, formed 435, 378 and 235
 @pytest.mark.parametrize("g, pairs", [
-    (family("cycle", 7), 435), (family("path", 7), 378),
-    (family("complete_bipartite", 3, 4), 235)], ids=["C7", "P7", "K34"])
+    (family("cycle", 7), 125), (family("path", 7), 109),
+    (family("complete_bipartite", 3, 4), 57)], ids=["C7", "P7", "K34"])
 def test_i5_pair_sequence_pinned(monkeypatch, g, pairs):
     pair = groebner._pair
     formed = []

@@ -93,20 +93,20 @@ def test_normal_forms_match_reference(ring):
 COEFFS = (1, -1, 2, -2, 3, 4, 6, 9, 12)
 
 
-def _random_gens(rng):
+def _random_gens(rng, coeffs=COEFFS):
     """Up to three integer generators of up to three squarefree terms:
     with four generators one case in about 3000 runs for seconds."""
     return [Polynomial(ZZ, V, {tuple(rng.randint(0, 1) for _ in V):
-                               rng.choice(COEFFS)
+                               rng.choice(coeffs)
                                for _ in range(rng.randint(1, 3))})
             for _ in range(rng.randint(1, 3))]
 
 
-def _assert_random_bases_match(seed, count):
+def _assert_random_bases_match(seed, count, coeffs=COEFFS):
     # the engine gets the integer generators, as a QQ Ideal passes them
     rng = random.Random(seed)
     for _ in range(count):
-        gens = _random_gens(rng)
+        gens = _random_gens(rng, coeffs)
         for ring in (ZZ, QQ):
             new = buchberger(gens, ring, V)
             old = ref.buchberger([g.to_ring(ring) for g in gens], ring, V)
@@ -120,6 +120,14 @@ def test_random_bases_match_reference():
 @pytest.mark.slow
 def test_random_bases_match_reference_many():
     _assert_random_bases_match(8, 3000)
+
+
+@pytest.mark.slow
+def test_random_bases_match_reference_wide_coefficients():
+    # 8, 10 and 15 make more leading coefficients that divide neither
+    # one another nor a pair's gcd or lcm, where the chain criterion
+    # and the gcd cover must keep a pair
+    _assert_random_bases_match(9, 3000, COEFFS + (8, 10, 15))
 
 
 def _contained_both_ways(a, b):
