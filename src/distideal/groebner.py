@@ -19,10 +19,12 @@ Both rings run on integer polynomials with positive leading
 coefficients and one reduction loop, ``_reduce``: Euclidean on the
 coefficients over ZZ, fraction-free over QQ, where the working basis is
 primitive.  Every QQ intermediate is a nonzero multiple of the monic one
-a field engine would hold, so the pairs, their order and the reduced
-bases are the same; each completed QQ basis is made monic once, and
-public reduction over QQ divides its remainder once.  Completed bases
-are interreduced and rendered deterministically.
+a field engine would hold, so for the same generator order the pairs,
+their order and the reduced bases are the same; each completed QQ basis
+is made monic once, and public reduction over QQ divides its remainder
+once.  The loop takes its generators as given, in the caller's order,
+and its own unit rule is the only one; each completed basis is
+interreduced and sorted once, by leading monomial.
 
 Between entry and exit a monomial is one int (Monagan & Pearce, "Sparse
 polynomial division using a heap", J. Symbolic Comput. 46, 2011).  Each
@@ -114,8 +116,8 @@ class _Fields:
 
 def _width(polys):
     """The field width B for these polynomials: 2^(B-1) exceeds their
-    degree."""
-    degree = max((max(map(sum, p.terms)) for p in polys if p.terms),
+    degree, that of each one's leading term in grevlex."""
+    degree = max((sum(next(iter(p.terms))) for p in polys if p.terms),
                  default=0)
     return max(8, degree.bit_length() + 1)
 
@@ -172,11 +174,6 @@ def _normalize(h, field):
     d = gcd(*h.values()) if field else 1
     d = -d if h[next(iter(h))] < 0 else d
     return _triple(h if d == 1 else {m: c // d for m, c in h.items()})
-
-
-def _sort_key(p):
-    """The packed form of ``Polynomial.sort_key``."""
-    return tuple((-m, c) for m, c in p[2])
 
 
 def _dividing(m, divisors, guard, found):
@@ -328,17 +325,17 @@ def gcd_polynomial(f, g):
     return _pair_polynomial("g", f, g)
 
 
-def _unit_basis(ring, variables):
-    return [Polynomial.const(ring, variables, 1)]
-
-
 def _minimize_and_interreduce(G, fields, ring, variables):
     """The reduced basis of the loop's working basis triples, unpacked,
-    and made monic over QQ."""
+    made monic over QQ and sorted by leading monomial, smallest first.
+
+    One sort serves: no two triples of G share (lm, lc), since each was
+    reduced against those before it; the kept ones have distinct leading
+    monomials, and tail reduction leaves them as they are."""
     field = ring == QQ
     guard = fields.guard
     kept = []
-    for p in sorted(G, key=lambda p: (-p[0], p[1], _sort_key(p))):
+    for p in sorted(G, key=lambda p: (-p[0], p[1])):
         pm, pc, _ = p
         # over QQ a multiple of a leading monomial is enough
         if not any(not (pm - qm) & guard and (field or pc % qc == 0)
@@ -352,14 +349,14 @@ def _minimize_and_interreduce(G, fields, ring, variables):
         h = {pm: pc * mult}
         h.update(tail)
         kept[i] = _normalize(h, field)
-    kept.sort(key=lambda p: (-p[0], _sort_key(p)))
     return [_unpack(terms, fields, ring, variables, pc)
             for _, pc, terms in kept]
 
 
 def _complete(start, fields, field):
-    """The loop: the working basis that completes the packed start list,
-    or None at a unit.
+    """The loop: the working basis that completes the packed term dicts
+    of ``start``, an iterable read lazily in the caller's order, or None
+    at a unit: a remainder of degree 0, over ZZ with coefficient +-1.
 
     A popped pair (i, j) of lcm L is skipped, unbuilt, when some other
     element k has lm k | L and
@@ -419,33 +416,17 @@ def _complete(start, fields, field):
 
 def buchberger(gens, ring, variables):
     """Complete a generator list to a (strong, over ZZ) Groebner basis.
-    Generators of a QQ ideal may be integer polynomials: they are
-    converted only when none of them is a unit."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
+    The loop takes the generators in the order given, packing each one
+    only when it reaches it, so a unit at the front ends the run early;
+    it normalizes what it keeps, and a duplicate reduces to zero.
+    Generators of a QQ ideal may be integer polynomials."""
     field = ring == QQ
-    # over QQ every nonzero constant is a unit
-    is_unit = (Polynomial.is_constant if field
-               else Polynomial.is_unit_constant)
-    if any(map(is_unit, gens)):
-        return _unit_basis(ring, variables)
     gens = [_clear(g)[0] if field else g.to_ring(ZZ) for g in gens]
 
     def run(fields):
-        start = {}
-        for g in gens:
-            p = _normalize(_pack(g, fields), field)
-            start[tuple(p[2])] = p
-        # over QQ in the order of the monic forms: every coefficient in
-        # the sort key is scaled by scale / lc, the same for all, and
-        # stays integral
-        scale = lcm(*(p[1] for p in start.values())) if field else 1
-        start = sorted(start.values(), key=lambda p: tuple(
-            (k, c * scale // p[1] if field else c) for k, c in _sort_key(p)))
-        G = _complete([dict(p[2]) for p in start], fields, field)
+        G = _complete((_pack(g, fields) for g in gens), fields, field)
         if G is None:
-            return _unit_basis(ring, variables)
+            return [Polynomial.const(ring, variables, 1)]
         return _minimize_and_interreduce(G, fields, ring, variables)
 
     return _widening(run, len(variables), gens)

@@ -144,7 +144,9 @@ def minors(matrix, i):
     minor is kept as its (rank, coefficient) terms, leading term first
     and with a positive leading coefficient; those tuples sort as
     ``Polynomial.sort_key`` does, so each kept minor becomes a
-    Polynomial only once, in its place in the output."""
+    Polynomial only once, in its place in the output.  The Groebner
+    loop takes the minors in this order, constants first, so a unit
+    minor ends it at once."""
     n = matrix.n
     if not (1 <= i <= n):
         raise ValueError("minor size out of range")

@@ -262,7 +262,7 @@ def test_zz_basis_positive_leading_coefficients():
 
 
 def test_qq_ideal_keeps_integer_generators(monkeypatch):
-    # a unit generator settles a QQ ideal before anything is converted
+    # the QQ loop runs on integer generators as they are, unit or not
     calls = []
     to_ring = Polynomial.to_ring
 

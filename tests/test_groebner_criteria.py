@@ -1,17 +1,20 @@
 """The pair criteria of the Buchberger loop: the chain criterion skips
 an S-pair and the cover test a ZZ gcd-pair, each only when the third
 element's leading coefficient divides the pair's; the pairs the loop
-still forms on I_5 of three 7-vertex graphs are pinned, and every basis
-stays the one the reference oracle and ``Ideal.verify`` accept."""
+still forms on I_5 of three 7-vertex graphs, and on every ideal of the
+small connected graphs in both rings, are pinned, and every basis stays
+the one the reference oracle and ``Ideal.verify`` accept."""
+
+from collections import Counter
 
 import pytest
 
 import reference_groebner as ref
 from distideal import groebner
-from distideal.graph import family
+from distideal.graph import enumerate_connected, family
 from distideal.groebner import Ideal, buchberger
 from distideal.ideals import generalized_distance_matrix, minors
-from distideal.poly import ZZ, Polynomial, make_vars
+from distideal.poly import QQ, ZZ, Polynomial, make_vars
 
 V = make_vars(3)
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -83,3 +86,36 @@ def test_i5_zz_pair_counts_pinned(monkeypatch, g, s_pairs, g_pairs):
     assert (formed.count("s"), formed.count("g")) == (s_pairs, g_pairs)
     # verify forms every pair _pair_kinds keeps, criteria or not
     assert ideal.verify() is True
+
+
+def _corpus_pair_counts(monkeypatch, nmax):
+    """The pairs the loop forms, by (ring, kind), over every index of
+    every connected graph with at most nmax vertices: the ideals of
+    ``minors``, taken in the order it gives them."""
+    pair = groebner._pair
+    counts = Counter()
+    ring = None
+
+    def counted(f, h, L, kind):
+        counts[ring, kind] += 1
+        return pair(f, h, L, kind)
+
+    monkeypatch.setattr(groebner, "_pair", counted)
+    for g in enumerate_connected(nmax):
+        m = generalized_distance_matrix(g)
+        for i in range(1, g.n + 1):
+            gens = minors(m, i)
+            for ring in (ZZ, QQ):
+                Ideal(ring, m.vars, gens).basis
+    return counts
+
+
+def test_small_corpus_pair_counts_pinned(monkeypatch):
+    assert _corpus_pair_counts(monkeypatch, 5) == {
+        (ZZ, "s"): 486, (QQ, "s"): 403}
+
+
+@pytest.mark.slow
+def test_six_vertex_corpus_pair_counts_pinned(monkeypatch):
+    assert _corpus_pair_counts(monkeypatch, 6) == {
+        (ZZ, "s"): 7194, (ZZ, "g"): 1, (QQ, "s"): 4180}

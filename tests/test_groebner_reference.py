@@ -1,8 +1,11 @@
 """Differential tests of the Groebner engine against the reference
 oracle in ``reference_groebner`` (the engine before the lean polynomial
 core): identical reduced bases on graph ideals and on random generator
-lists, identical normal forms on random input; and of ``ideals_equal``,
-which compares reduced bases, against mutual containment."""
+lists, identical normal forms on random input; against itself, the same
+basis whatever the order of the generators, which the loop takes as
+given, and the facts that let it sort each basis once; and of
+``ideals_equal``, which compares reduced bases, against mutual
+containment."""
 
 import random
 from itertools import combinations
@@ -10,10 +13,11 @@ from itertools import combinations
 import pytest
 
 import reference_groebner as ref
+from distideal import groebner
 from distideal.graph import enumerate_connected, family
 from distideal.groebner import Ideal, buchberger, ideals_equal, reduce_poly
 from distideal.ideals import generalized_distance_matrix, minors
-from distideal.poly import QQ, ZZ, Polynomial, make_vars
+from distideal.poly import QQ, ZZ, Polynomial, make_vars, monomial_key
 from ideal_helpers import contains
 
 
@@ -128,6 +132,69 @@ def test_random_bases_match_reference_wide_coefficients():
     # one another nor a pair's gcd or lcm, where the chain criterion
     # and the gcd cover must keep a pair
     _assert_random_bases_match(9, 3000, COEFFS + (8, 10, 15))
+
+
+def _same_basis_any_order(rng, gens, ring, variables):
+    """The rendered basis of gens, which a seeded shuffle and the
+    reversed list must give too."""
+    bases = {tuple(_render(buchberger(order, ring, variables)))
+             for order in (gens, rng.sample(gens, len(gens)), gens[::-1])}
+    assert len(bases) == 1, (ring, _render(gens))
+    return bases.pop()
+
+
+def test_basis_does_not_depend_on_generator_order():
+    rng = random.Random(5)
+    for g in enumerate_connected(4):
+        m = generalized_distance_matrix(g)
+        for i in range(1, g.n + 1):
+            gens = minors(m, i)
+            for ring in (ZZ, QQ):
+                _same_basis_any_order(rng, gens, ring, m.vars)
+    for _ in range(300):
+        gens = _random_gens(rng)
+        for ring in (ZZ, QQ):
+            _same_basis_any_order(rng, gens, ring, V)
+
+
+def test_unit_last_gives_unit_basis():
+    # over ZZ only +-1 is a unit, over QQ any nonzero constant: given
+    # last, it reaches the loop's unit rule only after the others, and
+    # reversed, before them
+    rng = random.Random(6)
+    for _ in range(100):
+        gens = _random_gens(rng)
+        for ring, unit in (ZZ, rng.choice((1, -1))), (QQ, 3):
+            with_unit = gens + [Polynomial.const(ZZ, V, unit)]
+            assert _same_basis_any_order(rng, with_unit, ring, V) == ("1",)
+
+
+def test_one_sort_is_enough(monkeypatch):
+    # no two triples of a completed working basis share (lm, lc), so one
+    # sort on that pair decides every tie, and every returned basis has
+    # strictly increasing leading monomials
+    completed = []
+    inner = groebner._minimize_and_interreduce
+
+    def recorded(G, *args):
+        completed.append(G)
+        return inner(G, *args)
+
+    monkeypatch.setattr(groebner, "_minimize_and_interreduce", recorded)
+    cases = []
+    for g in enumerate_connected(5):
+        m = generalized_distance_matrix(g)
+        cases += [(minors(m, i), m.vars) for i in range(1, g.n + 1)]
+    rng = random.Random(12)
+    cases += [(_random_gens(rng), V) for _ in range(300)]
+    for gens, variables in cases:
+        for ring in (ZZ, QQ):
+            keys = [monomial_key(p.leading()[0])
+                    for p in buchberger(gens, ring, variables)]
+            assert keys == sorted(set(keys)), (ring, _render(gens))
+    assert len(completed) > len(cases)
+    for G in completed:
+        assert len({(lm, lc) for lm, lc, _ in G}) == len(G)
 
 
 def _contained_both_ways(a, b):
