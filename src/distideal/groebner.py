@@ -38,9 +38,16 @@ order and unpacking expects it, so neither sorts.  The working basis
 holds (lm, lc, term list) triples with the term list in descending
 order.  B starts from the input's degree; a pair whose lcm reaches
 degree 2^(B-1) restarts the run with fields twice as wide, since no
-monomial of a reduction outgrows the degree of what it reduces.  The
+monomial of a reduction outgrows the degree of what it reduces.  Each
+``_Fields`` remembers the monomials it has packed and the keys it has
+unpacked; a restart builds new fields, so a key is never read under
+another width, and each monomial is converted once per run.  The
 divisor scan keeps the first-divisor rule and remembers, per monomial,
-which basis elements divide it.
+which basis elements divide it: one memo for the loop, and one for the
+interreduction, where each tail is reduced against every kept element,
+its own included.  That is safe because every tail term lies below the
+element's leading monomial, which thus divides none of them, tail
+reduction changes no leading monomial, and the memo reads only those.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ class _Fields:
     in bits [i*B, (i+1)*B), the negated degree from bit n*B up."""
 
     __slots__ = ("bits", "shifts", "units", "top", "low", "guard", "ones",
-                 "mask", "sum_at")
+                 "mask", "sum_at", "packed", "unpacked")
 
     def __init__(self, n, bits):
         self.bits = bits
@@ -90,13 +97,22 @@ class _Fields:
         self.mask = (1 << bits) - 1
         # E * ones holds the sum of E's fields in its field n - 1
         self.sum_at = max(self.top - bits, 0)
+        # each monomial is converted once per instance, so once per run
+        self.packed, self.unpacked = {}, {}
 
     def pack(self, mono):
-        return sum(map(mul, mono, self.units))
+        m = self.packed.get(mono)
+        if m is None:
+            m = self.packed[mono] = sum(map(mul, mono, self.units))
+        return m
 
     def unpack(self, m):
-        mask = self.mask
-        return tuple(m >> s & mask for s in self.shifts)
+        mono = self.unpacked.get(m)
+        if mono is None:
+            mask = self.mask
+            mono = self.unpacked[m] = tuple(m >> s & mask
+                                            for s in self.shifts)
+        return mono
 
     def lcm(self, a, b):
         """The lcm of two packed monomials; _Widen once its degree
@@ -284,8 +300,11 @@ def _pair(f, g, L, kind):
 
 
 def reduce_poly(f, basis):
-    """Normal form of f against a sequence of polynomials, by the integer
-    loop on cleared denominators; over QQ divided once at the end."""
+    """Normal form of f against a sequence of polynomials over f's
+    registry (ValueError otherwise), by the integer loop on cleared
+    denominators; over QQ divided once at the end."""
+    if any(g.vars != f.vars for g in basis):
+        raise ValueError("variable registry mismatch")
     if f.is_zero():
         return f
     h, den = _clear(f)
@@ -342,10 +361,11 @@ def _minimize_and_interreduce(G, fields, ring, variables):
                    for qm, qc, _ in kept):
             kept.append(p)
     # one pass of tail reduction: the leading terms are fixed by now, so
-    # a tail reduced against them stays reduced
+    # a tail reduced against them stays reduced.  lm p divides no term
+    # of p's tail, so every tail meets all of kept, with one memo
+    found = {}
     for i, (pm, pc, terms) in enumerate(kept):
-        tail, mult = _reduce(dict(terms[1:]), kept[:i] + kept[i + 1:],
-                             field, guard, {})
+        tail, mult = _reduce(dict(terms[1:]), kept, field, guard, found)
         h = {pm: pc * mult}
         h.update(tail)
         kept[i] = _normalize(h, field)

@@ -19,6 +19,10 @@ ZZ = "ZZ"
 QQ = "QQ"
 
 
+# registry -> {exponent tuple: its string in Polynomial.render}
+_TERM_STRINGS = {}
+
+
 def make_vars(n):
     return tuple("x%d" % i for i in range(n))
 
@@ -212,27 +216,32 @@ class Polynomial:
     # -- rendering ----------------------------------------------------------
 
     def render(self):
+        """The polynomial as text, leading term first, e.g.
+        ``-x0*x2^3 + 2*x1 - 4``.  Each monomial's string is made once per
+        registry: ``_TERM_STRINGS`` maps the ``vars`` tuple to a dict from
+        exponent tuple to string, and holds one string for every
+        (registry, monomial) rendered so far."""
         if not self.terms:
             return "0"
+        strings = _TERM_STRINGS.setdefault(self.vars, {})
         parts = []
-        for i, (mono, coeff) in enumerate(self.terms.items()):
-            factors = []
-            for name, e in zip(self.vars, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
+        for mono, coeff in self.terms.items():
+            s = strings.get(mono)
+            if s is None:
+                s = strings[mono] = "*".join(
+                    name if e == 1 else "%s^%d" % (name, e)
+                    for name, e in zip(self.vars, mono) if e)
             mag = abs(coeff)
-            if not factors:
+            if not s:
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = s
             else:
-                body = str(mag) + "*" + "*".join(factors)
-            if i == 0:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
+                body = "%s*%s" % (mag, s)
+            if parts:
                 parts.append(("+ " if coeff > 0 else "- ") + body)
+            else:
+                parts.append(body if coeff > 0 else "-" + body)
         return " ".join(parts)
 
     def __repr__(self):

@@ -50,6 +50,21 @@ def test_reduce_qq_field_division():
     assert reduce_poly(3 * x(QQ), [2 * x(QQ)]).is_zero()
 
 
+@pytest.mark.parametrize("names", [("a", "b", "c"), ("x0", "x1")],
+                         ids=["other-names", "two-variables"])
+def test_reduce_rejects_basis_over_other_registry(names):
+    # c over (a, b, c) used to be read as x2, and x1 over two variables
+    # as x1 over three, so x2 + 1 and x1 + 1 reduced to 1
+    v3 = make_vars(3)
+    divisor = Polynomial.variable(ZZ, names, names[-1])
+    for ring in (ZZ, QQ):
+        f = Polynomial.variable(ring, v3, v3[len(names) - 1]) + 1
+        with pytest.raises(ValueError):
+            reduce_poly(f, [divisor])
+        with pytest.raises(ValueError):
+            reduce_poly(Polynomial.zero(ring, v3), [divisor])
+
+
 def test_reduce_idempotent():
     basis = [2 * x(), 3 * y() - 1]
     f = 7 * x() * y() + 5 * y() + 4

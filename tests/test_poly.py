@@ -5,7 +5,7 @@ import pytest
 
 from distideal.families import (complete_ideal_gens, mdiag_det,
                                  mdiag_ideal_gens, star_det, star_ideal_gens)
-from distideal.graph import family
+from distideal.graph import enumerate_connected, family
 from distideal.groebner import (Ideal, gcd_polynomial, reduce_poly,
                                 s_polynomial)
 from distideal.ideals import (char_poly_distance,
@@ -240,6 +240,37 @@ def test_render_matches_reference(ring):
             f = -f
         for p in (f, f * f - f, f + 1, -f):
             assert p.render() == render_reference(p)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_render_matches_reference_on_graph_ideals(ring):
+    # every generator and every reduced basis element of the ideals of
+    # the connected graphs with n <= 5
+    rendered = 0
+    for g in enumerate_connected(5):
+        m = generalized_distance_matrix(g)
+        for i in range(1, g.n + 1):
+            ideal = Ideal(ring, m.vars, minors(m, i))
+            for p in ideal.gens + list(ideal.basis):
+                assert p.render() == render_reference(p), (g.adj, i)
+                rendered += 1
+    assert rendered > 1000
+
+
+def test_render_keeps_strings_per_registry():
+    # the same exponent tuples over two registries of three names,
+    # rendered in turn: each shows its own names
+    abc = ("a", "b", "c")
+    rng = random.Random(31)
+    for _ in range(100):
+        terms = {tuple(rng.randint(0, 2) for _ in V): rng.choice([-2, 1, 3])
+                 for _ in range(rng.randint(1, 4))}
+        for names in (V, abc, abc, V):
+            p = Polynomial(ZZ, names, terms)
+            assert p.render() == render_reference(p)
+    assert Polynomial(ZZ, V, {(1, 0, 2): 1}).render() == "x0*x2^2"
+    assert Polynomial(ZZ, abc, {(1, 0, 2): 1}).render() == "a*c^2"
+    assert Polynomial(ZZ, V, {(1, 0, 2): 1}).render() == "x0*x2^2"
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ])
