@@ -14,7 +14,8 @@ from . import classify as classify_mod
 from . import families as families_mod
 from .graph import (build_graph, emit_graph6, enumerate_connected, family,
                     parse_graph6)
-from .ideals import char_poly_distance, generalized_distance_matrix, ideal_report
+from .ideals import (MAX_MINOR_N, char_poly_distance,
+                     generalized_distance_matrix, ideal_report)
 from .poly import QQ, ZZ
 from .snf import distance_laplacian_snf, distance_snf
 
@@ -107,7 +108,8 @@ def _add_format(p):
 
 def _add_allow_large(p):
     p.add_argument("--allow-large", action="store_true",
-                   help="lift the n<=8 minor-enumeration guard")
+                   help="lift the n<=%d minor-enumeration guard"
+                   % MAX_MINOR_N)
 
 
 def build_parser():

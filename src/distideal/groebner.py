@@ -320,20 +320,27 @@ def reduce_poly(f, basis):
 
 def _pair_polynomial(kind, f, g):
     """The pair polynomial of kind "s" or "g" of two Polynomials, through
-    the packed pair routine."""
+    the packed pair routine on cleared denominators."""
     if f.is_zero() or g.is_zero():
         raise ValueError("pair polynomial of zero polynomial")
     f._check(g)
+    ring, variables = f.ring, f.vars
+    f, g = _clear(f)[0], _clear(g)[0]
     # one more bit holds the lcm, of at most the sum of the two degrees
-    fields = _Fields(len(f.vars), _width([f, g]) + 1)
+    fields = _Fields(len(variables), _width([f, g]) + 1)
     a, b = (_triple(_pack(p, fields)) for p in (f, g))
     h = _pair(a, b, fields.lcm(a[0], b[0]), kind)
-    # _pair appends g's new terms after f's, so its dict is unordered
-    return _unpack(sorted(h.items()), fields, f.ring, f.vars)
+    # _pair appends g's new terms after f's, so its dict is unordered.
+    # Over QQ h is l times the S-polynomial, l the lcm of the cleared
+    # leading coefficients, and _unpack divides by it (over ZZ it reads
+    # no denominator)
+    return _unpack(sorted(h.items()), fields, ring, variables,
+                   lcm(a[1], b[1]))
 
 
 def s_polynomial(f, g):
-    """S-polynomial of integer polynomials, by the lcm of their lcs."""
+    """S-polynomial: over ZZ by the lcm of the leading coefficients, over
+    QQ x^(L - lm f)*f/lc f - x^(L - lm g)*g/lc g, L = lcm(lm f, lm g)."""
     return _pair_polynomial("s", f, g)
 
 

@@ -140,13 +140,15 @@ def det_symbolic(matrix):
 def minors(matrix, i):
     """All nonzero i x i minors, deduplicated up to sign and sorted.
 
-    By symmetry each unordered pair of index sets is visited once.  A
-    minor is kept as its (rank, coefficient) terms, leading term first
-    and with a positive leading coefficient; those tuples sort as
-    ``Polynomial.sort_key`` does, so each kept minor becomes a
-    Polynomial only once, in its place in the output.  The Groebner
-    loop takes the minors in this order, constants first, so a unit
-    minor ends it at once."""
+    The output compares minors term by term, leading term first: the
+    smaller term first, by monomial in grevlex and then by coefficient,
+    and a minor whose terms begin another's before it.  By symmetry
+    each unordered pair of index sets is visited once.  A minor is kept
+    as its (rank, coefficient) terms, leading term first and with a
+    positive leading coefficient; those tuples sort in that order, so
+    each kept minor becomes a Polynomial only once, in its place in the
+    output.  The Groebner loop takes the minors in this order, constants
+    first, so a unit minor ends it at once."""
     n = matrix.n
     if not (1 <= i <= n):
         raise ValueError("minor size out of range")

@@ -42,6 +42,15 @@ def _leading_first(terms):
     return {m: terms[m] for m in order if terms[m]}
 
 
+def _monomial(mono, n):
+    """mono as a tuple, checked to hold n nonnegative int exponents."""
+    if len(mono) != n:
+        raise ValueError("exponent vector length mismatch")
+    if not all(isinstance(e, int) and e >= 0 for e in mono):
+        raise ValueError("bad exponent vector %r" % (mono,))
+    return tuple(mono)
+
+
 def _coerce(ring, c):
     if not isinstance(c, (int, Fraction)):
         raise TypeError("bad %s coefficient %r" % (ring, c))
@@ -67,13 +76,9 @@ class Polynomial:
 
     def __init__(self, ring, variables, terms):
         variables = tuple(variables)
-        clean = {}
-        for mono, coeff in terms.items():
-            if len(mono) != len(variables):
-                raise ValueError("exponent vector length mismatch")
-            if not all(isinstance(e, int) and e >= 0 for e in mono):
-                raise ValueError("bad exponent vector %r" % (mono,))
-            clean[tuple(mono)] = _coerce(ring, coeff)
+        n = len(variables)
+        clean = {_monomial(mono, n): _coerce(ring, coeff)
+                 for mono, coeff in terms.items()}
         self.ring, self.vars = ring, variables
         self.terms = _leading_first(clean)
 
@@ -86,10 +91,6 @@ class Polynomial:
         return p
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring, variables):
-        return cls(ring, variables, {})
 
     @classmethod
     def const(cls, ring, variables, c):
@@ -111,21 +112,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return not any(map(any, self.terms))
-
-    def constant_value(self):
-        z = (0,) * len(self.vars)
-        return self.terms.get(z, _coerce(self.ring, 0))
-
-    def is_unit_constant(self):
-        if not self.is_constant() or self.is_zero():
-            return False
-        c = self.constant_value()
-        if self.ring == QQ:
-            return True
-        return c in (1, -1)
-
     # -- term access --------------------------------------------------------
 
     def leading(self):
@@ -133,11 +119,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return next(iter(self.terms.items()))
-
-    def sort_key(self):
-        """Deterministic total-order key on the polynomials of one ring
-        (for stable output)."""
-        return tuple((monomial_key(m), c) for m, c in self.terms.items())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -185,8 +166,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def term_mul(self, mono, coeff):
-        """Multiply by a single term coeff * x^mono; grevlex is a monomial
-        order, so the terms keep their order."""
+        """Multiply by a single term coeff * x^mono, mono checked as the
+        constructor checks it; grevlex is a monomial order, so the terms
+        keep their order."""
+        mono = _monomial(mono, len(self.vars))
         c = _coerce(self.ring, coeff)
         if not c:
             return Polynomial._make(self.ring, self.vars, {})

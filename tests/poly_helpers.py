@@ -1,13 +1,28 @@
 """Polynomial helpers that only the tests need: powers, partial
 evaluation and composition, the tuple monomial arithmetic that the
 packed Groebner engine is checked against, the in-place term update
-of the reference determinant engine, and a rendering that sorts its
-terms itself."""
+of the reference determinant engine, the sort key and unit test of the
+reference Groebner engine, and a rendering that sorts its terms
+itself."""
 
 from heapq import heappush
 from operator import add, le, sub
 
-from distideal.poly import Polynomial, _coerce
+from distideal.poly import QQ, Polynomial, _coerce, monomial_key
+
+
+def sort_key(p):
+    """Deterministic total-order key on the polynomials of one ring
+    (for stable output)."""
+    return tuple((monomial_key(m), c) for m, c in p.terms.items())
+
+
+def is_unit_constant(p):
+    """Whether p is a nonzero constant that is a unit of its ring."""
+    if any(map(any, p.terms)) or not p.terms:
+        return False
+    c, = p.terms.values()
+    return p.ring == QQ or c in (1, -1)
 
 
 def descending_key(mono):
@@ -101,7 +116,7 @@ def compose(p, target_vars, mapping):
         else:
             img = Polynomial.variable(p.ring, target_vars, name)
         images.append(img)
-    result = Polynomial.zero(p.ring, target_vars)
+    result = Polynomial(p.ring, target_vars, {})
     for mono, coeff in p.terms.items():
         term = Polynomial.const(p.ring, target_vars, coeff)
         for img, e in zip(images, mono):

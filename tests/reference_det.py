@@ -64,7 +64,7 @@ def det_bareiss(matrix):
         return Polynomial.const(matrix.ring, matrix.vars, 1)
     M = [list(row) for row in matrix.entries]
     one = Polynomial.const(matrix.ring, matrix.vars, 1)
-    zero = Polynomial.zero(matrix.ring, matrix.vars)
+    zero = Polynomial(matrix.ring, matrix.vars, {})
     sign = 1
     prev = one
     for k in range(n - 1):

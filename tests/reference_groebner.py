@@ -1,7 +1,9 @@
 """The Groebner engine as it stood before the lean polynomial core: the
 reference oracle for the differential tests of ``distideal.groebner``.
 
-The functions below are kept verbatim.  They use only the public
+The functions below are kept verbatim, except that they call
+``sort_key`` and ``is_unit_constant`` as the test helpers those
+``Polynomial`` methods became.  They use only the public
 ``Polynomial`` operations (``leading``, ``term_mul``, ``+``, ``-`` and
 the coercing constructor): every reduction step builds a new polynomial,
 so they do not share the in-place reduction loop they check.
@@ -13,7 +15,8 @@ import heapq
 from math import gcd
 
 from distideal.poly import QQ, ZZ, Polynomial, monomial_key
-from poly_helpers import mono_div, mono_divides, mono_lcm, mono_mul
+from poly_helpers import (is_unit_constant, mono_div, mono_divides, mono_lcm,
+                          mono_mul, sort_key)
 
 
 def _ext_gcd(a, b):
@@ -107,7 +110,7 @@ def _minimize_and_interreduce(polys, ring):
     polys = sorted({_sign_normalize(p) for p in polys},
                    key=lambda p: (monomial_key(p.leading()[0]),
                                   abs(p.leading()[1]),
-                                  p.sort_key()))
+                                  sort_key(p)))
     kept = []
     for p in polys:
         pm, pc = p.leading()
@@ -133,7 +136,7 @@ def _minimize_and_interreduce(polys, ring):
                 kept[i] = new
                 changed = True
     kept.sort(key=lambda p: (monomial_key(p.leading()[0]),
-                             p.sort_key()))
+                             sort_key(p)))
     return kept
 
 
@@ -143,10 +146,10 @@ def buchberger(gens, ring, variables):
     if not gens:
         return []
     for g in gens:
-        if g.is_unit_constant():
+        if is_unit_constant(g):
             return _unit_basis(ring, variables)
     start = sorted({_sign_normalize(g) for g in gens},
-                   key=lambda p: p.sort_key())
+                   key=lambda p: sort_key(p))
 
     G = []
     lts = []
@@ -181,7 +184,7 @@ def buchberger(gens, ring, variables):
         h = reduce_poly(g, G)
         if h.is_zero():
             continue
-        if h.is_unit_constant():
+        if is_unit_constant(h):
             return _unit_basis(ring, variables)
         add(_sign_normalize(h))
 
@@ -194,7 +197,7 @@ def buchberger(gens, ring, variables):
         h = reduce_poly(p, G)
         if h.is_zero():
             continue
-        if h.is_unit_constant():
+        if is_unit_constant(h):
             return _unit_basis(ring, variables)
         add(_sign_normalize(h))
 

@@ -68,7 +68,7 @@ def _report(num, label, fn):
 
 
 def _poly(variables, ring, spec):
-    total = Polynomial.zero(ring, variables)
+    total = Polynomial(ring, variables, {})
     for coeff, monos in spec:
         term = Polynomial.const(ring, variables, coeff)
         for name, e in monos.items():

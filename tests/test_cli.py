@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from distideal.cli import main
+from distideal.ideals import MAX_MINOR_N
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src",
                            "distideal", "schemas", "report-v1.schema.json")
@@ -92,6 +93,14 @@ def test_charpoly_size_guard(capsys):
                        "--allow-large")
     assert code == 0
     assert out.splitlines()[0].startswith("lam^9 - 540*lam^7")
+
+
+@pytest.mark.parametrize("command", ["ideals", "charpoly"])
+def test_allow_large_help_names_the_guard(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "n<=%d" % MAX_MINOR_N in capsys.readouterr().out
 
 
 def test_classify_text(capsys):

@@ -19,6 +19,7 @@ from distideal.ideals import (CHAR_VAR, _constant_pairs, char_poly_distance,
                               minors)
 from distideal.poly import ZZ, Polynomial
 from distideal.snf import LaplaceMemo, minors_gcd
+from poly_helpers import sort_key
 from reference_det import PolyMatrix, det_bareiss
 
 
@@ -82,7 +83,7 @@ def _reference_minors(matrix, i):
             d = matrix.minor(rsub, csub)
             if not d.is_zero():
                 seen.add(d if d.leading()[1] > 0 else -d)
-    return sorted(seen, key=lambda p: p.sort_key())
+    return sorted(seen, key=sort_key)
 
 
 def _sweep_matrices():

@@ -62,7 +62,7 @@ def test_reduce_rejects_basis_over_other_registry(names):
         with pytest.raises(ValueError):
             reduce_poly(f, [divisor])
         with pytest.raises(ValueError):
-            reduce_poly(Polynomial.zero(ring, v3), [divisor])
+            reduce_poly(Polynomial(ring, v3, {}), [divisor])
 
 
 def test_reduce_idempotent():
@@ -201,7 +201,7 @@ def test_verify_needs_gcd_pairs():
 @pytest.mark.parametrize("ring", [ZZ, QQ])
 def test_verify_rejects_zero_basis_element(ring):
     gens = [x(ring), y(ring)]
-    zero = Polynomial.zero(ring, V)
+    zero = Polynomial(ring, V, {})
     assert _with_basis(ring, gens, gens + [zero]).verify() is False
 
 

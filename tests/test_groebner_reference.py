@@ -8,6 +8,7 @@ given, and the facts that let it sort each basis once; and of
 containment."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -89,6 +90,39 @@ def test_normal_forms_match_reference(ring):
         f = _random_poly(rng, ring) * _random_poly(rng, ring)
         assert reduce_poly(f, basis) == ref.reduce_poly(
             f, [_positive(p) for p in basis])
+
+
+def _random_fraction_poly(rng):
+    """A nonzero QQ polynomial with denominators up to 3 and a leading
+    coefficient of either sign."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            mono = tuple(rng.randint(0, 2) for _ in V)
+            terms[mono] = terms.get(mono, 0) + Fraction(rng.randint(-6, 6),
+                                                        rng.randint(1, 3))
+        p = Polynomial(QQ, V, terms)
+        if not p.is_zero():
+            return p
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_pair_polynomials_match_reference(ring):
+    # over QQ the S-polynomial is x^(L - lm f)*f/lc f - x^(L - lm g)*g/lc g;
+    # the packed routine gets it from the cleared integer polynomials
+    rng = random.Random(25)
+    for _ in range(500):
+        if ring == QQ:
+            f, g = _random_fraction_poly(rng), _random_fraction_poly(rng)
+        else:
+            f, g = _random_poly(rng, ZZ), _random_poly(rng, ZZ)
+            if f.is_zero() or g.is_zero():
+                continue
+            assert groebner.gcd_polynomial(f, g) == ref.gcd_polynomial(f, g)
+        assert groebner.s_polynomial(f, g) == ref.s_polynomial(f, g)
+    if ring == QQ:
+        with pytest.raises(ValueError):
+            groebner.gcd_polynomial(f, g)
 
 
 # Leading coefficients that share factors, so that the coefficient half

@@ -16,7 +16,7 @@ from distideal.poly import QQ, ZZ, Polynomial, make_vars
 from distideal.snf import minors_gcd, smith_normal_form
 from graph_helpers import diameter
 from ideal_helpers import contains
-from poly_helpers import compose, power, substitute
+from poly_helpers import compose, power, sort_key, substitute
 from reference_det import PolyMatrix, det_bareiss
 
 CLAW = build_graph(4, [(0, 1), (0, 2), (0, 3)])  # center 0, as in the example
@@ -24,7 +24,7 @@ CLAW = build_graph(4, [(0, 1), (0, 2), (0, 3)])  # center 0, as in the example
 
 def _poly(variables, ring, spec):
     """spec: list of (coeff, {var: exp})"""
-    total = Polynomial.zero(ring, variables)
+    total = Polynomial(ring, variables, {})
     for coeff, monos in spec:
         term = Polynomial.const(ring, variables, coeff)
         for name, e in monos.items():
@@ -426,7 +426,7 @@ def test_rational_minors_are_integer_minors_converted():
                         tuple(rows[r][c] for c in csub) for r in rsub)))
                     if not d.is_zero():
                         seen.add(d if d.leading()[1] > 0 else -d)
-            assert sorted(seen, key=lambda p: p.sort_key()) == \
+            assert sorted(seen, key=sort_key) == \
                 [p.to_ring(QQ) for p in minors(mz, i)]
 
 
