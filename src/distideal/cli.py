@@ -106,12 +106,6 @@ def _add_format(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_allow_large(p):
-    p.add_argument("--allow-large", action="store_true",
-                   help="lift the n<=%d minor-enumeration guard"
-                   % MAX_MINOR_N)
-
-
 def build_parser():
     parser = _Parser(
         prog="distideal",
@@ -129,7 +123,9 @@ def build_parser():
     p.add_argument("--ring", choices=("Z", "Q"), default="Z")
     p.add_argument("--index", type=int, default=None,
                    help="single ideal index (default: all)")
-    _add_allow_large(p)
+    p.add_argument("--allow-large", action="store_true",
+                   help="lift the n<=%d minor-enumeration guard"
+                   % MAX_MINOR_N)
 
     p = sub.add_parser("snf", help="Smith normal form of the distance matrix")
     _add_graph_source(p)
@@ -140,7 +136,6 @@ def build_parser():
     p = sub.add_parser("charpoly", help="distance characteristic polynomial")
     _add_graph_source(p)
     _add_format(p)
-    _add_allow_large(p)
 
     p = sub.add_parser("classify", help="corpus classification check")
     _add_format(p)
@@ -203,7 +198,7 @@ def cmd_snf(args):
 
 def cmd_charpoly(args):
     g = _load_graph(args)
-    p, roots = char_poly_distance(g, allow_large=args.allow_large)
+    p, roots = char_poly_distance(g)
     payload = {"schema": "v1", "kind": "charpoly", "graph6": emit_graph6(g),
                "poly": p.render(), "integer_roots": roots}
     _emit(args, payload, "%s\ninteger roots: %s" % (p.render(), roots))

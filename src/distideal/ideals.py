@@ -4,18 +4,20 @@ distance characteristic polynomial.
 
 D(G, X) is built one way, as a ``SymbolicMatrix`` that makes its one
 integer minor memo, ``snf.LaplaceMemo``, when it is made.  Every reader
-of minors (the symbolic minors, the constant minors of a certificate and
-the principal minors of the characteristic polynomial) names a row and
-a column set by bitmasks, bit k for index k, and asks that one memo.
-Δ_i at a point is read off the Smith form by one routine, ``_delta``.
+of minors (the symbolic minors and the constant minors of a certificate)
+names a row and a column set by bitmasks, bit k for index k, and asks
+that one memo.  Δ_i at a point is read off the Smith form by one
+routine, ``_delta``.  The characteristic polynomial reads no minors: an
+integer recurrence on D(G) gives it in O(n^4) steps.
 
-One walker, ``ideal_chain``, serves every distance-ideal verdict.  It
-builds one symbolic matrix per graph and one ``Step`` per index i.  A
-step's verdict comes from ``certify`` when it finds a certificate that
-integer arithmetic can ``check``, and from the Groebner basis of the
-i-minors otherwise; the minors are expanded only when a caller reads
-the step's ideal.  ``distance_ideal``, ``trivial_count_phi`` (Φ) and
-``ideal_report`` all read their steps off one walk.
+Every distance-ideal verdict is read off a ``Step``, I_i for one index
+i.  A step's verdict comes from ``certify`` when it finds a certificate
+that integer arithmetic can ``check``, and from the Groebner basis of
+the i-minors otherwise; the minors are expanded only when a caller
+reads the step's ideal.  One walker, ``ideal_chain``, builds one
+symbolic matrix per graph and one step per index, and
+``trivial_count_phi`` (Φ) and ``ideal_report`` read their steps off one
+walk; ``distance_ideal`` builds its one step alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, islice, takewhile
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from . import snf
@@ -32,8 +34,7 @@ from .groebner import Ideal, _ext_gcd
 from .poly import QQ, ZZ, Polynomial, make_vars
 
 # guard for the sum over i of the C(n,i)(C(n,i)+1)/2 pairs of index sets
-# whose minors a chain expands, and for the 2^n principal minors of the
-# characteristic polynomial
+# whose minors a chain expands
 MAX_MINOR_N = 8
 
 
@@ -200,13 +201,19 @@ class Step:
         return isinstance(self.certificate, Bezout)
 
 
-def ideal_chain(g, ring=ZZ, allow_large=False):
-    """The steps I_1, ..., I_n of g, all off one matrix and its minor
-    memo, each built when the walk reaches it.  Graphs with more than
-    MAX_MINOR_N vertices need allow_large, checked before the walk."""
+def _chain_matrix(g, allow_large):
+    """D(G, X) for the distance ideals of g.  Graphs with more than
+    MAX_MINOR_N vertices need allow_large."""
     if not allow_large and g.n > MAX_MINOR_N:
         raise ValueError("distance ideals need allow_large for n=%d" % g.n)
-    m = generalized_distance_matrix(g)
+    return generalized_distance_matrix(g)
+
+
+def ideal_chain(g, ring=ZZ, allow_large=False):
+    """The steps I_1, ..., I_n of g, all off one matrix and its minor
+    memo, each built when the walk reaches it; the guard is checked
+    before the walk."""
+    m = _chain_matrix(g, allow_large)
     return (Step(m, i, ring) for i in range(1, g.n + 1))
 
 
@@ -220,7 +227,7 @@ def _leading_trivial(steps):
 def distance_ideal(g, i, ring=ZZ, allow_large=False):
     if not (1 <= i <= g.n):
         raise ValueError("ideal index out of range")
-    return next(islice(ideal_chain(g, ring, allow_large), i - 1, None))
+    return Step(_chain_matrix(g, allow_large), i, ring)
 
 
 def trivial_count_phi(g, ring=ZZ, max_i=None):
@@ -429,47 +436,41 @@ def evaluate_ideal(g, i, point):
 CHAR_VAR = "lam"
 
 
-def char_poly_distance(g, allow_large=False):
-    """(monic char poly of D(G) in lam, sorted integer roots).
+def char_poly_distance(g):
+    """(monic char poly det(lam*I - D) of D(G) in lam, sorted integer
+    roots).
 
-    The coefficient of lam^(n-k) is (-1)^k times the sum of the
-    principal k-minors of D(G), all 2^n of them, so n is held to
-    MAX_MINOR_N unless allow_large is set."""
-    n = g.n
-    if not allow_large and n > MAX_MINOR_N:
-        raise ValueError("characteristic polynomial needs allow_large for "
-                         "n=%d" % n)
-    det = generalized_distance_matrix(g).det
-    sums = [0] * (n + 1)
-    for s in range(1 << n):
-        sums[s.bit_count()] += det(s, s)
-    terms = {}
-    for k, e in enumerate(sums):
-        if e:
-            terms[(n - k,)] = -e if k % 2 else e
-    p = Polynomial._make(ZZ, (CHAR_VAR,), terms)
-    return p, _integer_roots(p)
+    The coefficients c_k of lam^k come from the Faddeev-LeVerrier
+    recurrence over the integers: M_1 = I, and for k = 1..n
+    c_{n-k} = -tr(D M_k) / k and M_{k+1} = D M_k + c_{n-k} I.  The
+    division is exact, since c_{n-k} is an integer.  Each M_k is a
+    polynomial in D, so it is symmetric and its rows are its columns.
+
+    Every eigenvalue of D lies within T, the largest row sum of D, of 0
+    (Gershgorin), so the integer roots are the r in [-T, T] at which
+    Horner's rule gives 0; 0 is one exactly when det D = 0."""
+    dm = all_pairs_distances(g)
+    n = len(dm)
+    coeffs = [1]
+    M = [[int(u == v) for v in range(n)] for u in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(map(mul, row, col)) for col in M] for row in dm]
+        c = -sum(M[u][u] for u in range(n)) // k
+        coeffs.append(c)
+        for u in range(n):
+            M[u][u] += c
+    p = Polynomial._make(ZZ, (CHAR_VAR,), {(n - k,): c for k, c
+                                           in enumerate(coeffs) if c})
+    T = max(map(sum, dm))
+    return p, [r for r in range(-T, T + 1) if _horner(coeffs, r) == 0]
 
 
-def _integer_roots(p):
-    coeffs = {m[0]: c for m, c in p.terms.items()}
-    if not coeffs:
-        return []
-    low = min(coeffs)
-    roots = set()
-    if low > 0:
-        roots.add(0)
-    const = coeffs[low]
-    divisors = set()
-    d = 1
-    while d * d <= abs(const):
-        if const % d == 0:
-            divisors.update((d, -d, abs(const) // d, -abs(const) // d))
-        d += 1
-    for r in sorted(divisors):
-        if sum(c * r ** (e - low) for e, c in coeffs.items()) == 0:
-            roots.add(r)
-    return sorted(roots)
+def _horner(coeffs, r):
+    """The polynomial with coefficients ``coeffs``, highest first, at r."""
+    v = 0
+    for c in coeffs:
+        v = v * r + c
+    return v
 
 
 # ---------------------------------------------------------------------------

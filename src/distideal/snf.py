@@ -1,8 +1,7 @@
 """Smith normal form of integer matrices by elementary row/column
 operations, the memoized integer minor expansion, keyed by bitmasks of
-row and column sets, that every minor, determinant and characteristic
-polynomial of ``ideals`` is read from, and the distance and
-distance-Laplacian SNF of a graph.
+row and column sets, that every minor and determinant of ``ideals`` is
+read from, and the distance and distance-Laplacian SNF of a graph.
 
 Pivots are chosen by minimal absolute value; when the pivot fails to
 divide the remaining block, a row addition re-exposes the obstruction

@@ -1,6 +1,6 @@
 """Graph helpers that only the tests need."""
 
-from distideal.graph import all_pairs_distances, canonical_form
+from distideal.graph import all_pairs_distances, build_graph, canonical_form
 
 
 def edge_set(g):
@@ -23,3 +23,13 @@ def are_isomorphic(g, h):
     if degree_sequence(g) != degree_sequence(h):
         return False
     return canonical_form(g) == canonical_form(h)
+
+
+def random_connected(rng, n, p):
+    """A connected graph on n vertices: a random tree, vertex k joined to
+    one of 0..k-1, plus each other pair as an edge with probability p
+    (p = 0 gives the tree)."""
+    tree = {(rng.randrange(k), k) for k in range(1, n)}
+    extra = {(u, v) for v in range(n) for u in range(v)
+             if (u, v) not in tree and rng.random() < p}
+    return build_graph(n, sorted(tree | extra))

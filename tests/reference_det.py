@@ -1,7 +1,10 @@
 """The fraction-free determinant engine as it stood before the symbolic
 matrices became integer matrices with a diagonal of variables: the
 reference oracle for the differential tests of ``SymbolicMatrix.minor``,
-``det_symbolic`` and ``char_poly_distance``.
+``det_symbolic`` and ``char_poly_distance``.  ``integer_roots_by_divisors``
+is the divisor scan that found the integer roots of the characteristic
+polynomial before its Gershgorin-bounded Horner scan: the reference for
+its roots.
 
 ``det_bareiss`` and ``exact_div`` below are kept verbatim.  Bareiss
 elimination works on a matrix of ``Polynomial`` entries with exact
@@ -83,3 +86,27 @@ def det_bareiss(matrix):
             M[i][k] = zero
         prev = M[k][k]
     return M[n - 1][n - 1] * sign
+
+
+def integer_roots_by_divisors(p):
+    """The sorted integer roots of a monic univariate integer polynomial:
+    0 when lam divides p, and the divisors d of its lowest nonzero
+    coefficient at which p / lam^low vanishes (rational root theorem)."""
+    coeffs = {m[0]: c for m, c in p.terms.items()}
+    if not coeffs:
+        return []
+    low = min(coeffs)
+    roots = set()
+    if low > 0:
+        roots.add(0)
+    const = coeffs[low]
+    divisors = set()
+    d = 1
+    while d * d <= abs(const):
+        if const % d == 0:
+            divisors.update((d, -d, abs(const) // d, -abs(const) // d))
+        d += 1
+    for r in sorted(divisors):
+        if sum(c * r ** (e - low) for e, c in coeffs.items()) == 0:
+            roots.add(r)
+    return sorted(roots)

@@ -1,26 +1,29 @@
-"""Differential tests of the integer-memo minors, determinants and char
-polys against the fraction-free Bareiss engine of reference_det, of the
-bitmask Laplace memo against a permutation-sum determinant, of the
+"""Differential tests of the integer-memo minors and determinants, and of
+the char polys up to n = 12, against the fraction-free Bareiss engine
+of reference_det, of their integer roots against its divisor scan, of
+the bitmask Laplace memo against a permutation-sum determinant, of the
 symmetric halving in ``minors`` against the full rows x columns
 enumeration, and of the mask enumeration of constant minor pairs against
 the index-tuple one it replaced."""
 
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import gcd
 
 import pytest
 
 from distideal.families import (FamilySpec, _family_row, mdiag_matrix,
                                 star_matrix, verification_table)
-from distideal.graph import all_pairs_distances, enumerate_connected, family
+from distideal.graph import (all_pairs_distances, emit_graph6,
+                             enumerate_connected, family)
 from distideal.ideals import (CHAR_VAR, _constant_pairs, char_poly_distance,
                               det_symbolic, generalized_distance_matrix,
                               minors)
 from distideal.poly import ZZ, Polynomial
 from distideal.snf import LaplaceMemo, minors_gcd
+from graph_helpers import random_connected
 from poly_helpers import sort_key
-from reference_det import PolyMatrix, det_bareiss
+from reference_det import PolyMatrix, det_bareiss, integer_roots_by_divisors
 
 
 def _reference_minor(matrix, entries, rsub, csub):
@@ -55,12 +58,34 @@ def _reference_char_poly(g):
     return -p if g.n % 2 else p
 
 
+def _graphs_past_the_minor_guard():
+    """Seeded random connected graphs with 9 <= n <= 12, trees among
+    them, and the path, cycle, complete graph and star of those sizes."""
+    rng = random.Random(2026)
+    graphs = [random_connected(rng, n, p) for n in range(9, 13)
+              for p in (0.0, 0.15, 0.3, 0.5, 0.8)]
+    for n in range(9, 13):
+        graphs += [family("path", n), family("cycle", n),
+                   family("complete", n), family("star", n - 1)]
+    return graphs
+
+
 def test_det_and_char_poly_match_bareiss():
     for g in enumerate_connected(6):
         m = generalized_distance_matrix(g)
         assert det_symbolic(m) == det_bareiss(PolyMatrix(ZZ, m.vars,
                                                          m.entries))
         assert char_poly_distance(g)[0] == _reference_char_poly(g)
+    # the characteristic polynomial has no size guard
+    for g in _graphs_past_the_minor_guard():
+        assert char_poly_distance(g)[0] == _reference_char_poly(g), \
+            emit_graph6(g)
+
+
+def test_integer_roots_match_divisor_scan():
+    for g in chain(enumerate_connected(7), _graphs_past_the_minor_guard()):
+        p, roots = char_poly_distance(g)
+        assert roots == integer_roots_by_divisors(p), emit_graph6(g)
 
 
 def test_family_dets_match_bareiss():

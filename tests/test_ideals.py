@@ -4,17 +4,18 @@ from itertools import combinations
 
 import pytest
 
+from distideal import ideals as ideals_mod
 from distideal.graph import (all_pairs_distances, build_graph,
                              enumerate_connected, family, is_connected)
 from distideal.groebner import Ideal, ideals_equal
 from distideal.ideals import (Bezout, Point, _mod, _vanishes, certify,
                               char_poly_distance, check, det_symbolic,
                               distance_ideal, evaluate_ideal,
-                              generalized_distance_matrix, ideal_report,
-                              minors, trivial_count_phi)
+                              generalized_distance_matrix, ideal_chain,
+                              ideal_report, minors, trivial_count_phi)
 from distideal.poly import QQ, ZZ, Polynomial, make_vars
 from distideal.snf import minors_gcd, smith_normal_form
-from graph_helpers import diameter
+from graph_helpers import diameter, random_connected
 from ideal_helpers import contains
 from poly_helpers import compose, power, sort_key, substitute
 from reference_det import PolyMatrix, det_bareiss
@@ -240,6 +241,65 @@ def test_char_poly_c4():
     p, roots = char_poly_distance(family("cycle", 4))
     assert p.render() == "lam^4 - 12*lam^2 - 16*lam"
     assert roots == [-2, 0, 4]
+
+
+def _identity_graph(spec):
+    """A family graph, or ("random", n, seed, p) for a seeded
+    ``random_connected`` graph (a tree for p = 0)."""
+    if spec[0] == "random":
+        return random_connected(random.Random(spec[2]), spec[1], spec[3])
+    return family(*spec)
+
+
+@pytest.mark.parametrize("spec", [
+    ("path", 30), ("cycle", 30), ("complete", 30), ("star", 29),
+    ("random", 30, 1, 0.0), ("random", 31, 2, 0.0), ("random", 30, 3, 0.2),
+    pytest.param(("path", 62), marks=pytest.mark.slow),
+    pytest.param(("cycle", 62), marks=pytest.mark.slow),
+    pytest.param(("complete", 62), marks=pytest.mark.slow),
+    pytest.param(("star", 61), marks=pytest.mark.slow),
+    pytest.param(("random", 62, 4, 0.0), marks=pytest.mark.slow)],
+    ids=lambda spec: "-".join(map(str, spec)))
+def test_char_poly_identities_at_large_n(spec):
+    g = _identity_graph(spec)
+    n = g.n
+    p, roots = char_poly_distance(g)
+    coeff = {e: c for (e,), c in p.terms.items()}
+    dm = all_pairs_distances(g)
+    # monic, zero trace, and the sum of the principal 2-minors -d_uv^2
+    assert max(coeff) == n and coeff[n] == 1
+    assert n - 1 not in coeff
+    assert coeff[n - 2] == -sum(dm[u][v] ** 2
+                                for u in range(n) for v in range(u))
+    assert all(sum(c * r ** e for e, c in coeff.items()) == 0 for r in roots)
+    if sum(map(len, g.adj)) == 2 * (n - 1):
+        # a tree; Graham-Pollak: det D(T) = (-1)^(n-1) (n-1) 2^(n-2)
+        assert coeff[0] == -(n - 1) * 2 ** (n - 2)
+    if spec[0] == "complete":
+        assert roots == [-1, n - 1]
+    if spec[0] == "star":
+        assert roots == [-2]
+    if spec[0] == "cycle":
+        k = n // 2
+        assert 0 in roots and k * k in roots
+
+
+def test_distance_ideal_certifies_its_step_alone(monkeypatch):
+    c6 = family("cycle", 6)
+    chain = [step.trivial for step in ideal_chain(c6)]
+    calls = []
+
+    def counting(m, i, ring=ZZ):
+        calls.append(i)
+        return certify(m, i, ring)
+
+    monkeypatch.setattr(ideals_mod, "certify", counting)
+    assert distance_ideal(c6, 5).trivial == chain[4]
+    assert calls == [5]
+    for g in enumerate_connected(4):
+        steps = list(ideal_chain(g))
+        for i in range(1, g.n + 1):
+            assert distance_ideal(g, i).trivial == steps[i - 1].trivial
 
 
 # ---------------------------------------------------------------------------
