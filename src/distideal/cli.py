@@ -14,10 +14,14 @@ from . import classify as classify_mod
 from . import families as families_mod
 from .graph import (build_graph, emit_graph6, enumerate_connected, family,
                     parse_graph6)
-from .ideals import (MAX_MINOR_N, char_poly_distance,
-                     generalized_distance_matrix, ideal_report)
+from .ideals import (char_poly_distance, generalized_distance_matrix,
+                     ideal_report)
 from .poly import QQ, ZZ
 from .snf import distance_laplacian_snf, distance_snf
+
+# the most vertices `ideals` takes without --allow-large: a whole chain
+# expands the minors of C(n,i)(C(n,i)+1)/2 pairs of index sets for each i
+MAX_MINOR_N = 8
 
 
 class CliError(Exception):
@@ -172,9 +176,10 @@ def cmd_matrix(args):
 
 def cmd_ideals(args):
     g = _load_graph(args)
+    if g.n > MAX_MINOR_N and not args.allow_large:
+        raise CliError("distance ideals need allow_large for n=%d" % g.n)
     indices = [args.index] if args.index is not None else None
-    report = ideal_report(g, _ring(args.ring), indices,
-                          allow_large=args.allow_large)
+    report = ideal_report(g, _ring(args.ring), indices)
     lines = _render_matrix(g)[1] if args.format == "text" else []
     for rec in report["ideals"]:
         lines.append("Distance ideal of size %d (%s)" %

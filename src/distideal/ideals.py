@@ -11,13 +11,14 @@ routine, ``_delta``.  The characteristic polynomial reads no minors: an
 integer recurrence on D(G) gives it in O(n^4) steps.
 
 Every distance-ideal verdict is read off a ``Step``, I_i for one index
-i.  A step's verdict comes from ``certify`` when it finds a certificate
-that integer arithmetic can ``check``, and from the Groebner basis of
-the i-minors otherwise; the minors are expanded only when a caller
-reads the step's ideal.  One walker, ``ideal_chain``, builds one
-symbolic matrix per graph and one step per index, and
-``trivial_count_phi`` (Φ) and ``ideal_report`` read their steps off one
-walk; ``distance_ideal`` builds its one step alone.
+i, which does no work until it is read.  Its verdict comes from
+``certify`` when it finds a certificate that integer arithmetic can
+``check``, and from the Groebner basis of the i-minors otherwise; the
+minors are expanded only when a caller reads the step's ideal.  One
+walker, ``ideal_chain``, builds one symbolic matrix per graph and one
+step per index, and ``trivial_count_phi`` (Φ) and ``ideal_report`` read
+their steps off one walk; ``distance_ideal`` builds its one step alone.
+No function here bounds n: the n <= 8 bound belongs to the CLI.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from . import snf
 from .graph import MAX_N, all_pairs_distances, emit_graph6
 from .groebner import Ideal, _ext_gcd
 from .poly import QQ, ZZ, Polynomial, make_vars
-
-# guard for the sum over i of the C(n,i)(C(n,i)+1)/2 pairs of index sets
-# whose minors a chain expands
-MAX_MINOR_N = 8
 
 
 class SymbolicMatrix:
@@ -173,17 +170,15 @@ def minors(matrix, i):
 # distance ideals
 
 class Step:
-    """I_i of the distance-ideal chain of ``matrix`` over ``ring``.
-    ``certify`` runs when the step is built, and the ideal of the
-    i-minors is computed on first read; the verdict comes from the
-    certificate when there is one."""
+    """I_i of the distance-ideal chain of ``matrix`` over ``ring``, doing
+    nothing until read: ``trivial`` runs ``certify`` once and caches the
+    verdict, and the ideal of the i-minors is computed on first read."""
 
-    __slots__ = ("matrix", "index", "ring", "certificate", "_ideal")
+    __slots__ = ("matrix", "index", "ring", "_trivial", "_ideal")
 
     def __init__(self, matrix, index, ring):
         self.matrix, self.index, self.ring = matrix, index, ring
-        self.certificate = certify(matrix, index, ring)
-        self._ideal = None
+        self._trivial = self._ideal = None
 
     @property
     def ideal(self):
@@ -196,24 +191,17 @@ class Step:
 
     @property
     def trivial(self):
-        if self.certificate is None:
-            return self.ideal.is_trivial()
-        return isinstance(self.certificate, Bezout)
+        if self._trivial is None:
+            cert = certify(self.matrix, self.index, self.ring)
+            self._trivial = (self.ideal.is_trivial() if cert is None
+                             else isinstance(cert, Bezout))
+        return self._trivial
 
 
-def _chain_matrix(g, allow_large):
-    """D(G, X) for the distance ideals of g.  Graphs with more than
-    MAX_MINOR_N vertices need allow_large."""
-    if not allow_large and g.n > MAX_MINOR_N:
-        raise ValueError("distance ideals need allow_large for n=%d" % g.n)
-    return generalized_distance_matrix(g)
-
-
-def ideal_chain(g, ring=ZZ, allow_large=False):
+def ideal_chain(g, ring=ZZ):
     """The steps I_1, ..., I_n of g, all off one matrix and its minor
-    memo, each built when the walk reaches it; the guard is checked
-    before the walk."""
-    m = _chain_matrix(g, allow_large)
+    memo, each built when the walk reaches it."""
+    m = generalized_distance_matrix(g)
     return (Step(m, i, ring) for i in range(1, g.n + 1))
 
 
@@ -224,17 +212,16 @@ def _leading_trivial(steps):
     return sum(1 for _ in takewhile(attrgetter("trivial"), steps))
 
 
-def distance_ideal(g, i, ring=ZZ, allow_large=False):
+def distance_ideal(g, i, ring=ZZ):
     if not (1 <= i <= g.n):
         raise ValueError("ideal index out of range")
-    return Step(_chain_matrix(g, allow_large), i, ring)
+    return Step(generalized_distance_matrix(g), i, ring)
 
 
 def trivial_count_phi(g, ring=ZZ, max_i=None):
     """Largest i with trivial i-th distance ideal (0 if none); max_i
     caps the scan for callers that only need a threshold comparison."""
-    return _leading_trivial(islice(ideal_chain(g, ring, allow_large=True),
-                                   max_i))
+    return _leading_trivial(islice(ideal_chain(g, ring), max_i))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +317,10 @@ def check(cert, g, i, ring=ZZ):
         exact = int if p else (int, Fraction)
         if not all(isinstance(x, exact) for x in a):
             return False
-        # a point over F_p says nothing over QQ
-        if p and (ring == QQ or _prime_factors(p) != [p]):
+        # a point over F_p says nothing over QQ; certify's primes divide
+        # a constant 2-minor, at most 61^2, so p >= 2^32 is refused
+        # before a trial division of sqrt(p) steps
+        if p and (ring == QQ or p >= 1 << 32 or _prime_factors(p) != [p]):
             return False
         return _vanishes(m.const, a, p, i)
     return False
@@ -476,17 +465,18 @@ def _horner(coeffs, r):
 # ---------------------------------------------------------------------------
 # reporting
 
-def ideal_report(g, ring=ZZ, indices=None, allow_large=False):
+def ideal_report(g, ring=ZZ, indices=None):
     """JSON-ready report of the distance ideals of a graph.
 
     One walk up the chain serves the records and Φ: a Groebner basis is
     computed for each requested index, and below the first nontrivial
-    ideal only where no certificate settles the verdict.
+    ideal only where no certificate settles the verdict; a step neither
+    requested nor needed for Φ is never certified.
     """
     indices = list(indices) if indices is not None else list(range(1, g.n + 1))
     if not all(1 <= i <= g.n for i in indices):
         raise ValueError("ideal index out of range")
-    steps = list(ideal_chain(g, ring, allow_large))
+    steps = list(ideal_chain(g, ring))
     records = [{
         "i": step.index,
         "generators": [p.render() for p in step.ideal.gens],

@@ -187,6 +187,10 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __hash__(self):
+        # a constant (zero too) equals its value, so hashes as it
+        mono, c = next(iter(self.terms.items()), ((), 0))
+        if not any(mono):
+            return hash(c)
         return hash((self.ring, self.vars, frozenset(self.terms.items())))
 
     # -- conversion ---------------------------------------------------------

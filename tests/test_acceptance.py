@@ -218,8 +218,7 @@ def test_criterion_08_monotonicity_suites():
 
         for g in corpus:
             # chain I_{i+1} subseteq I_i
-            chain = [distance_ideal(g, i, ZZ, allow_large=True)
-                     for i in range(1, g.n + 1)]
+            chain = [distance_ideal(g, i, ZZ) for i in range(1, g.n + 1)]
             for lower, upper in zip(chain, chain[1:]):
                 for gen in upper.ideal.gens:
                     assert contains(lower.ideal, gen)

@@ -5,8 +5,7 @@ import shlex
 import jsonschema
 import pytest
 
-from distideal.cli import main
-from distideal.ideals import MAX_MINOR_N
+from distideal.cli import MAX_MINOR_N, main
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src",
                            "distideal", "schemas", "report-v1.schema.json")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -102,15 +103,12 @@ def test_minors_range_guard():
     with pytest.raises(ValueError):
         minors(m, 0)
     assert minors(m, 5)
-    # the n <= 8 guard sits at the start of the chain walk, not in minors
+    # the n <= 8 bound belongs to the `ideals` command: the library takes
+    # a 9-vertex graph as it is
     big = family("path", 9)
     assert minors(generalized_distance_matrix(big), 1)
-    for walk in (lambda: distance_ideal(big, 1),
-                 lambda: ideal_report(big, ZZ, [1])):
-        with pytest.raises(ValueError, match="allow_large"):
-            walk()
-    assert distance_ideal(big, 1, allow_large=True).trivial
-    assert ideal_report(big, ZZ, [1], allow_large=True)["phi"] == 2
+    assert distance_ideal(big, 1).trivial
+    assert ideal_report(big, ZZ, [1])["phi"] == 2
 
 
 def test_claw_i2_golden():
@@ -294,7 +292,10 @@ def test_distance_ideal_certifies_its_step_alone(monkeypatch):
         return certify(m, i, ring)
 
     monkeypatch.setattr(ideals_mod, "certify", counting)
-    assert distance_ideal(c6, 5).trivial == chain[4]
+    step = distance_ideal(c6, 5)
+    assert calls == []
+    assert step.trivial == chain[4]
+    assert step.trivial == chain[4]
     assert calls == [5]
     for g in enumerate_connected(4):
         steps = list(ideal_chain(g))
@@ -313,8 +314,7 @@ def _embed(p, sub_vars, big_vars, mapping):
 
 def test_chain_containment_small():
     for g in enumerate_connected(4):
-        results = {i: distance_ideal(g, i, ZZ, allow_large=True)
-                   for i in range(1, g.n + 1)}
+        results = {i: distance_ideal(g, i, ZZ) for i in range(1, g.n + 1)}
         for i in range(1, g.n):
             for gen in results[i + 1].ideal.gens:
                 assert contains(results[i].ideal, gen)
@@ -649,6 +649,38 @@ def test_check_rejects_non_exact_point():
     assert not check(Point(0, None), g, 2, QQ)
     assert not check(Point(0, (1, 1, 1)), g, 1.5, QQ)
     assert not check(Point(2, 5), family("complete", 4), 2, ZZ)
+
+
+def test_check_refuses_a_huge_prime_at_once():
+    # every prime certify emits is below 2^32, so check refuses a larger
+    # p before it trial-divides it; without that, 2^61 - 1 takes hours
+    k3 = family("complete", 3)
+    assert check(Point(7, (1, 1, 1)), k3, 2, ZZ)
+    start = time.perf_counter()
+    assert not check(Point(2**61 - 1, (1, 1, 1)), k3, 2, ZZ)
+    assert not check(Point(1099511627791, (2, 2, 2, 2)),
+                     family("cycle", 4), 2, ZZ)
+    assert time.perf_counter() - start < 1
+
+
+def test_report_certifies_only_the_steps_it_reads(monkeypatch):
+    # K_n: I_1 is trivial and I_2 is not, so a report of I_1 reads steps
+    # 1 and 2 only, and certifies no step above them
+    calls = []
+
+    def counting(m, i, ring=ZZ):
+        calls.append(i)
+        return certify(m, i, ring)
+
+    monkeypatch.setattr(ideals_mod, "certify", counting)
+    assert ideal_report(family("complete", 8), ZZ, [1])["phi"] == 1
+    assert calls == [1, 2]
+
+
+def test_report_of_a_large_complete_graph():
+    # 20 vertices: the constant 2-minors are all 0, and nothing above
+    # I_2 is certified
+    assert ideal_report(family("complete", 20), ZZ, [1])["phi"] == 1
 
 
 def test_vanishes_matches_minors_gcd():

@@ -164,6 +164,19 @@ def test_public_constructor_coerces():
     assert type(q.terms[(1, 0, 0)]) is Fraction
 
 
+def test_constant_hashes_as_its_value():
+    # a constant equals its value, so a set or dict key holds them once
+    for c, ring in ((1, ZZ), (-7, ZZ), (Fraction(3, 2), QQ), (Fraction(4), QQ),
+                    (0, ZZ), (0, QQ)):
+        p = const(c, ring)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+    assert Polynomial(ZZ, V, {}) == 0 and len({Polynomial(ZZ, V, {}), 0}) == 1
+    # a nonconstant polynomial still hashes on its terms
+    assert len({x(0), x(0) + 0, x(1)}) == 2
+    assert hash(x(0) + 1) == hash(Polynomial(ZZ, V, {(1, 0, 0): 1, (0,) * 3: 1}))
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ])
 def test_exact_div_random(ring):
     rng = random.Random(19)
