@@ -3,7 +3,7 @@ shortest-path distances, induced-pattern detection and exhaustive
 enumeration of small connected graphs up to isomorphism.
 
 Everything here is desk-scale (n <= 62 for every graph, the most that
-graph6 encodes in one byte; n <= 7 for the corpus), so brute force is
+graph6 encodes in one byte; n <= 8 for the corpus), so brute force is
 used throughout for its obvious correctness: the enumerator keeps the
 least adjacency code of each graph over its degree-respecting orderings,
 and a pattern is found when the code of some vertex subset is the code
@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
 MAX_N = 62
-MAX_ENUM_N = 7
+MAX_ENUM_N = 8
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def all_pairs_distances(g):
 
 
 # ---------------------------------------------------------------------------
-# canonical form (exhaustive, n <= 7 scale)
+# canonical form (exhaustive, n <= 8 scale)
 
 def _canonical_code(adj):
     """Least code over the orderings that list the vertices by decreasing

@@ -131,6 +131,8 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.ring, self.vars, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -144,16 +146,18 @@ class Polynomial:
                                 {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.ring, self.vars, other)
+        if not isinstance(other, (int, Fraction, Polynomial)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.term_mul((0,) * len(self.vars), other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         terms = {}
         get = terms.get
@@ -178,11 +182,12 @@ class Polynomial:
                                  for m, v in self.terms.items()})
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a number equals a constant of its value, in either ring
+            return self.terms == ({(0,) * len(self.vars): other}
+                                  if other else {})
         if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction)):
-                other = Polynomial.const(self.ring, self.vars, other)
-            else:
-                return NotImplemented
+            return NotImplemented
         return (self.ring == other.ring and self.vars == other.vars
                 and self.terms == other.terms)
 

@@ -17,3 +17,11 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="session")
+def connected8():
+    """The connected graphs on 1..8 vertices, enumerated once for every
+    slow test that reads them."""
+    from distideal.graph import enumerate_connected
+    return list(enumerate_connected(8))

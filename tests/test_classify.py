@@ -87,7 +87,7 @@ def test_corpus_report_range():
     with pytest.raises(ValueError):
         corpus_report(0, "Z")
     with pytest.raises(ValueError):
-        corpus_report(8, "Z")
+        corpus_report(9, "Z")
 
 
 def test_corpus_report_n7_both_rings():
@@ -99,6 +99,22 @@ def test_corpus_report_n7_both_rings():
     assert rr.ok and rr.passing == 12
     assert [rr.per_size[n]["passing"] for n in range(1, 8)] == \
         [1, 1, 2, 2, 2, 2, 2]
+
+
+@pytest.mark.slow
+def test_classification_theorem_n8(connected8):
+    # the paper's theorem on all 11117 connected graphs with 8 vertices
+    assert sum(g.n == 8 for g in connected8) == 11117
+    assert len(connected8) == 12113
+    for ring, expected in (("Z", [1, 1, 2, 3, 3, 4, 4, 5]),
+                           ("R", [1, 1, 2, 2, 2, 2, 2, 2])):
+        reports = [classify(g, ring) for g in connected8]
+        assert all(rep.agreement for rep in reports), ring
+        per_size = [0] * 8
+        for rep in reports:
+            per_size[rep.graph.n - 1] += rep.ideal_based
+        assert per_size == expected, ring
+        assert minimal_forbidden_ok(ring), ring
 
 
 def test_classify_needs_no_groebner_basis(monkeypatch):

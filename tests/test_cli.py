@@ -156,6 +156,15 @@ def test_exit_code_usage_error(capsys, argv):
     assert err.startswith("usage: distideal") and "\nerror: " in err
 
 
+@pytest.mark.parametrize("command", ["classify", "corpus"])
+@pytest.mark.parametrize("nmax", ["0", "9"])
+def test_nmax_out_of_range(capsys, command, nmax):
+    # one bound with one message, met before any graph is enumerated
+    code, out, err = run(capsys, command, "--nmax", nmax)
+    assert (code, out) == (1, "")
+    assert err == "error: n_max out of supported range 1..8\n"
+
+
 def test_help_exits_zero(capsys):
     for argv in (["--help"], ["classify", "--help"]):
         with pytest.raises(SystemExit) as exc:

@@ -149,9 +149,20 @@ def test_verify_family_units():
     assert verify_family(FamilySpec("mdiag", n=4, m=2))
 
 
-def test_verify_family_bounds():
-    with pytest.raises(ValueError):
-        verify_family(FamilySpec("complete", n=7))
+@pytest.mark.parametrize("kind,n,m", [
+    ("complete", 6, 0), ("complete", 7, 0), ("star", 0, 5), ("star", 0, 6),
+    ("mdiag", 5, 3), ("mdiag", 6, 4)])
+def test_verify_family_any_size(kind, n, m):
+    # the closed forms hold for every n and m, so any size is verified
+    assert verify_family(FamilySpec(kind, n=n, m=m))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,n,m", [
+    ("complete", 8, 0), ("complete", 9, 0), ("star", 0, 7), ("star", 0, 8),
+    ("mdiag", 7, 3), ("mdiag", 8, 5)])
+def test_verify_family_large(kind, n, m):
+    assert verify_family(FamilySpec(kind, n=n, m=m))
 
 
 def test_verification_table_all_pass():

@@ -25,9 +25,10 @@ diagonal of variables.
 
 tests/data/corpus_golden.json pins the enumeration order: the sha256 of
 the stdout of `distideal corpus --nmax 6 --format json`, and of the
-newline-joined graph6 strings of `enumerate_connected(7)` in the order
-they are yielded.  The digests were written by the code before the
-enumeration sorted canonical forms instead of graphs.
+newline-joined graph6 strings of `enumerate_connected(7)` and of
+`enumerate_connected(8)` in the order they are yielded.  The first two
+digests were written by the code before the enumeration sorted canonical
+forms instead of graphs.
 
 Regenerate (only for an intended output change) with
 
@@ -107,13 +108,16 @@ def corpus_json_digest():
     return cli_digest(["corpus", "--nmax", "6"])
 
 
-def enumeration_digest():
-    return sha256("\n".join(emit_graph6(g) for g in enumerate_connected(7)))
+def enumeration_digest(graphs):
+    return sha256("\n".join(emit_graph6(g) for g in graphs))
 
 
 def compute_corpus_digests():
     return {"corpus --nmax 6": corpus_json_digest(),
-            "enumerate_connected(7)": enumeration_digest()}
+            "enumerate_connected(7)": enumeration_digest(
+                enumerate_connected(7)),
+            "enumerate_connected(8)": enumeration_digest(
+                enumerate_connected(8))}
 
 
 def test_ideals_json_matches_golden_digests():
@@ -147,7 +151,14 @@ def test_corpus_json_matches_golden_digest():
 
 @pytest.mark.slow
 def test_enumeration_order_matches_golden_digest():
-    assert enumeration_digest() == _corpus_golden()["enumerate_connected(7)"]
+    assert (enumeration_digest(enumerate_connected(7))
+            == _corpus_golden()["enumerate_connected(7)"])
+
+
+@pytest.mark.slow
+def test_enumeration_order_n8_matches_golden_digest(connected8):
+    assert (enumeration_digest(connected8)
+            == _corpus_golden()["enumerate_connected(8)"])
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

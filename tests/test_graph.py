@@ -230,7 +230,7 @@ def test_enumeration_counts():
 
 def test_enumeration_range_check():
     with pytest.raises(ValueError):
-        list(enumerate_connected(8))
+        list(enumerate_connected(9))
 
 
 def _labeled_connected(n):

@@ -177,6 +177,27 @@ def test_constant_hashes_as_its_value():
     assert hash(x(0) + 1) == hash(Polynomial(ZZ, V, {(1, 0, 0): 1, (0,) * 3: 1}))
 
 
+def test_compare_with_number_never_raises():
+    # a number is compared with the constant term, not coerced into the
+    # ring: 1/2 is no ZZ coefficient, and hash(1/2) == hash(2**60)
+    v = make_vars(2)
+    assert not Polynomial.const(ZZ, v, 1) == Fraction(1, 2)
+    assert Fraction(1, 2) not in {Polynomial.const(ZZ, v, 2 ** 60)}
+    assert Polynomial.const(QQ, v, Fraction(1, 2)) == Fraction(1, 2)
+    assert Polynomial.const(ZZ, v, 1) == Fraction(1) and x(0) != 0
+
+
+@pytest.mark.parametrize("symbol,op", [
+    ("*", lambda p: p * 0.5), ("*", lambda p: 0.5 * p),
+    ("+", lambda p: p + 0.5), ("+", lambda p: p + None),
+    ("-", lambda p: p - 0.5), ("-", lambda p: 0.5 - p)],
+    ids=["mul", "rmul", "add", "add-None", "sub", "rsub"])
+def test_foreign_operand_is_type_error(symbol, op):
+    # NotImplemented, so that Python raises TypeError for the operator
+    with pytest.raises(TypeError, match=r"for \%s:" % symbol):
+        op(x(0))
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ])
 def test_exact_div_random(ring):
     rng = random.Random(19)
@@ -323,3 +344,5 @@ def test_term_mul_rejects_bad_monomials(ring, mono):
 def test_zz_rejects_fractions():
     with pytest.raises((TypeError, ValueError)):
         Polynomial.const(ZZ, V, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        x(0) * Fraction(1, 2)
