@@ -7,8 +7,9 @@ integer minor memo, ``snf.LaplaceMemo``, when it is made.  Every reader
 of minors (the symbolic minors and the constant minors of a certificate)
 names a row and a column set by bitmasks, bit k for index k, and asks
 that one memo.  Δ_i at a point is read off the Smith form by one
-routine, ``_delta``.  The characteristic polynomial reads no minors: an
-integer recurrence on D(G) gives it in O(n^4) steps.
+routine, ``_delta``, and Δ_i of D(G) off one Smith form per matrix,
+``SymbolicMatrix.delta``.  The characteristic polynomial reads no
+minors: an integer recurrence on D(G) gives it in O(n^4) steps.
 
 Every distance-ideal verdict is read off a ``Step``, I_i for one index
 i, which does no work until it is read.  Its verdict comes from
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, islice, takewhile
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import NamedTuple
 
@@ -44,12 +45,18 @@ class SymbolicMatrix:
     ``const`` is symmetric (a distance matrix, or one of the family
     matrices), so minor(C, R) = minor(R, C)."""
 
-    __slots__ = ("vars", "const", "n", "det", "_monos")
+    __slots__ = ("vars", "const", "n", "det", "_monos", "_snf")
 
     def __init__(self, vars, const):
         self.vars, self.const, self.n = vars, const, len(const)
         self.det = snf.LaplaceMemo(const).det
-        self._monos = {}
+        self._monos, self._snf = {}, None
+
+    def delta(self, i):
+        """Δ_i of ``const``, off its one Smith form, made on first call."""
+        if self._snf is None:
+            self._snf = snf.smith_normal_form(self.const)
+        return self._snf.delta(i)
 
     def minor(self, rsub, csub):
         """Determinant of rows ``rsub`` and columns ``csub`` (sorted)."""
@@ -237,9 +244,10 @@ class Bezout(NamedTuple):
 
 
 class Point(NamedTuple):
-    """I_i is nontrivial: every i-minor of D(G, a) vanishes mod p, so
-    I_i lies in the proper ideal (p, x_0 - a_0, ..., x_{n-1} - a_{n-1}).
-    p = 0 means a rational point, which settles ZZ as well as QQ."""
+    """I_i is nontrivial: every i-minor of D(G, a) is 0 mod p, so I_i
+    lies in (p, x_0 - a_0, ..., x_{n-1} - a_{n-1}), proper for any p >= 2
+    since ZZ[x]/(p, x - a) is ZZ/p; that settles ZZ only.  p = 0: they
+    are exactly 0 at a rational point, which settles QQ too."""
     p: int
     a: tuple
 
@@ -248,15 +256,22 @@ def certify(m, i, ring=ZZ):
     """A ``Bezout`` or ``Point`` for I_i of m = diag(vars) + D(G), or
     None when neither cheap proof applies.
 
+    Nontrivial for i >= 3 when d = Δ_i(D(G)) is 0, or over ZZ not 1:
+    I_i at x = 0 lies in (d), so ``Point(d, (0,)*n)``.
+
     Trivial: over ZZ, the constant i-minors are scanned until their gcd
     is 1; over QQ one nonzero constant minor is enough.  Constant minors
     need n >= 2i.
 
-    Nontrivial, only for i = 2 and n >= 3: rank D(G, a) <= 1 forces
+    Nontrivial at i = 2 and n >= 3: rank D(G, a) <= 1 forces
     a_u = d_uv * d_uw / d_vw whenever d_vw is invertible, so there is one
-    candidate point for each prime p dividing the gcd g_2 of the
-    constant 2-minors, or one rational candidate when g_2 = 0 (over QQ
-    that is the only case left)."""
+    candidate point mod the gcd g_2 of the constant 2-minors (no star has
+    g_2 >= 2, so it exists), which holds mod gcd(g_2, Δ_2(D(G, a))), or
+    one rational candidate when g_2 = 0 (over QQ the only case left)."""
+    if i >= 3:
+        d = m.delta(i)
+        if d == 0 or (d > 1 and ring == ZZ):
+            return Point(d, (0,) * m.n)
     det = m.det
     pairs, coeffs, g = [], [], 0
     for R, C in _constant_pairs(m.n, i):
@@ -273,10 +288,13 @@ def certify(m, i, ring=ZZ):
             if g == 1:
                 return Bezout(tuple(pairs), tuple(coeffs))
     if i == 2 and m.n >= 3:
-        for p in (_prime_factors(g) if g else (0,)):
-            a = _rank_one_point(m.const, p)
-            if a is not None and _vanishes(m.const, a, p, 2):
-                return Point(p, a)
+        a = _rank_one_point(m.const, g)
+        if a is not None and g:
+            q = gcd(g, _delta(m.const, a, 2))
+            if q > 1:
+                return Point(q, a)
+        elif a is not None and _vanishes(m.const, a, 0, 2):
+            return Point(0, a)
     return None
 
 
@@ -287,10 +305,11 @@ def check(cert, g, i, ring=ZZ):
     recomputed from D(G) with exact arithmetic, on a matrix of its own;
     neither the minor memo of ``certify`` nor the Groebner engine is
     used.  Only exact numbers count: the coefficients are ints over ZZ
-    and ints or Fractions over QQ, p is an int, and the coordinates of
-    a point are ints for p > 0 and ints or Fractions for p = 0.  A
-    certificate of any other shape, such as a list where a tuple belongs
-    or a float index, gives False, never an exception."""
+    and ints or Fractions over QQ, p is 0 or, over ZZ only, an int >= 2
+    (prime or not), and the coordinates of a point are ints for p > 0
+    and ints or Fractions for p = 0.  A certificate of any other shape,
+    such as a list where a tuple belongs or a float index, gives False,
+    never an exception."""
     n = g.n
     if not (isinstance(i, int) and 1 <= i <= n):
         return False
@@ -317,10 +336,8 @@ def check(cert, g, i, ring=ZZ):
         exact = int if p else (int, Fraction)
         if not all(isinstance(x, exact) for x in a):
             return False
-        # a point over F_p says nothing over QQ; certify's primes divide
-        # a constant 2-minor, at most 61^2, so p >= 2^32 is refused
-        # before a trial division of sqrt(p) steps
-        if p and (ring == QQ or p >= 1 << 32 or _prime_factors(p) != [p]):
+        # a point mod p says nothing over QQ
+        if p and (ring == QQ or p < 2):
             return False
         return _vanishes(m.const, a, p, i)
     return False
@@ -344,22 +361,6 @@ def _constant_pairs(n, i):
                 yield R, sum(cs)
 
 
-def _prime_factors(g):
-    """The distinct primes dividing g, in increasing order."""
-    g = abs(g)
-    out = []
-    q = 2
-    while q * q <= g:
-        if g % q == 0:
-            out.append(q)
-            while g % q == 0:
-                g //= q
-        q += 1
-    if g > 1:
-        out.append(g)
-    return out
-
-
 def _is_index_set(s, i, n):
     """Whether s is a tuple of i increasing ints in range(n)."""
     return (isinstance(s, tuple) and len(s) == i
@@ -367,20 +368,16 @@ def _is_index_set(s, i, n):
             and s == tuple(sorted(set(s))) and all(0 <= v < n for v in s))
 
 
-def _mod(d, p):
-    """d mod p, with p = 0 meaning the integers themselves."""
-    return d % p if p else d
-
-
 def _rank_one_point(dm, p):
-    """The only point where D(G, a) can have rank <= 1 mod p (p = 0: over
-    QQ), reading a_u off the first pair v < w, both other than u, with
-    d_vw invertible; None when some u has no such pair."""
+    """a_u = d_uv * d_uw / d_vw mod p (p = 0: over QQ), off the first pair
+    v < w, both other than u, with d_vw invertible; None when some u has
+    no such pair.  Mod each prime of p it is the only point where D(G, a)
+    can have rank <= 1."""
     n = len(dm)
     a = []
     for u in range(n):
         for v, w in combinations([x for x in range(n) if x != u], 2):
-            if _mod(dm[v][w], p):
+            if gcd(dm[v][w], p) == 1 if p else dm[v][w]:
                 break
         else:
             return None
@@ -397,7 +394,8 @@ def _vanishes(dm, a, p, i):
     L^i; L is 1 for p > 0."""
     L = lcm(*(x.denominator for x in a))
     dm = [[d * L for d in row] for row in dm]
-    return not _mod(_delta(dm, [int(x * L) for x in a], i), p)
+    d = _delta(dm, [int(x * L) for x in a], i)
+    return not (d % p if p else d)
 
 
 def _delta(dm, a, i):

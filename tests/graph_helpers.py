@@ -33,3 +33,20 @@ def random_connected(rng, n, p):
     extra = {(u, v) for v in range(n) for u in range(v)
              if (u, v) not in tree and rng.random() < p}
     return build_graph(n, sorted(tree | extra))
+
+
+def random_prufer_tree(rng, n):
+    """The tree of a random Prüfer code of length n - 2 (n >= 2): each
+    code entry in turn is joined to the least leaf left."""
+    code = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    edges = []
+    for v in code:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return build_graph(n, edges)

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -9,14 +10,14 @@ from distideal import ideals as ideals_mod
 from distideal.graph import (all_pairs_distances, build_graph,
                              enumerate_connected, family, is_connected)
 from distideal.groebner import Ideal, ideals_equal
-from distideal.ideals import (Bezout, Point, _mod, _vanishes, certify,
+from distideal.ideals import (Bezout, Point, _vanishes, certify,
                               char_poly_distance, check, det_symbolic,
                               distance_ideal, evaluate_ideal,
                               generalized_distance_matrix, ideal_chain,
                               ideal_report, minors, trivial_count_phi)
 from distideal.poly import QQ, ZZ, Polynomial, make_vars
 from distideal.snf import minors_gcd, smith_normal_form
-from graph_helpers import diameter, random_connected
+from graph_helpers import diameter, random_connected, random_prufer_tree
 from ideal_helpers import contains
 from poly_helpers import compose, power, sort_key, substitute
 from reference_det import PolyMatrix, det_bareiss
@@ -587,28 +588,122 @@ def test_check_rejects_overlapping_index_sets():
     assert not check(Bezout(((1, 2, 3),), (1,)), k4, 1, ZZ)
 
 
+def _divides(p, d):
+    """Whether p divides d, with p = 0 asking d = 0."""
+    return d % p == 0 if p else d == 0
+
+
+def _point_holds(g, i, p, a):
+    """The oracle for a point, apart from check's Smith form: whether p
+    divides the gcd of every i-minor of D(G, a), after a's denominators
+    are cleared."""
+    L = lcm(*(Fraction(x).denominator for x in a))
+    dm = all_pairs_distances(g)
+    return _divides(p, minors_gcd(
+        [[int(a[u] * L) if u == v else dm[u][v] * L for v in range(g.n)]
+         for u in range(g.n)], i))
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ])
 def test_check_rejects_shifted_point(ring):
+    # a shifted point need not fail: a zero point at i >= 3 is not the
+    # only point (K_{1,3} at i = 3, centre 0, also holds at (1, 0, 0, 0)
+    # mod 2), so the oracle judges each mutant
     certs = _small_certificates(Point, ring)
     assert certs
+    rejected = 0
     for g, i, cert in certs:
         for u in range(g.n):
             a = list(cert.a)
             a[u] = (a[u] + 1) % cert.p if cert.p else a[u] + 1
-            assert not check(Point(cert.p, tuple(a)), g, i, ring)
+            holds = _point_holds(g, i, cert.p, a)
+            assert check(Point(cert.p, tuple(a)), g, i, ring) == holds, \
+                (g, i, cert, u)
+            rejected += not holds
+    assert rejected
 
 
-def test_check_rejects_wrong_prime():
+def test_check_rejects_wrong_modulus():
     # a rational point with integer coordinates is a point mod every
-    # prime too, so only the F_p points have a wrong prime
+    # modulus too, so only the points mod p >= 2 have a wrong modulus;
+    # a divisor of p still holds (C4 at i = 3: 2 divides the 4 of
+    # Point(4, 0)), so the oracle judges each
     certs = [(g, i, c) for g, i, c in _small_certificates(Point, ZZ) if c.p]
     assert certs
+    rejected = 0
     for g, i, cert in certs:
-        for q in (0, 1, 2, 3, 4, 5, 7, 9, -3):
+        for q in (0, 2, 3, 4, 5, 7, 8, 9):
             if q != cert.p:
-                assert not check(Point(q, cert.a), g, i, ZZ), (g, cert, q)
-        # a point over F_p says nothing over QQ
+                holds = _point_holds(g, i, q, cert.a)
+                assert check(Point(q, cert.a), g, i, ZZ) == holds, \
+                    (g, i, cert, q)
+                rejected += not holds
+        # a modulus is 0 or at least 2, and a point mod p says nothing
+        # over QQ
+        for q in (1, -3, -cert.p):
+            assert not check(Point(q, cert.a), g, i, ZZ), (g, cert, q)
         assert not check(cert, g, i, QQ)
+    assert rejected
+
+
+def test_point_modulus_table():
+    # Δ_3(D(C4)) = 4 and det D(C4) = 0
+    c4 = family("cycle", 4)
+    zero = (0,) * 4
+    m = generalized_distance_matrix(c4)
+    assert m.delta(3) == 4 and m.delta(4) == 0
+    assert certify(m, 3, ZZ) == Point(4, zero)
+    assert certify(m, 3, QQ) is None
+    for p, holds in ((4, True), (2, True), (8, False), (1, False),
+                     (-4, False)):
+        assert check(Point(p, zero), c4, 3, ZZ) == holds, p
+    for p in (2, 4):
+        assert not check(Point(p, zero), c4, 3, QQ), p
+    for ring in (ZZ, QQ):
+        assert certify(m, 4, ring) == Point(0, zero)
+        assert check(Point(0, zero), c4, 4, ring)
+        assert not check(Point(0, zero), c4, 3, ring)
+
+
+def test_tree_points_from_the_smith_form():
+    # the Smith form of D(T) is diag(1, 1, 2, ..., 2, 2(n - 1)) (Hou &
+    # Woo), so Δ_3 = 2 and Δ_n = |det D(T)| = (n - 1) * 2^(n - 2)
+    # (Graham-Pollak)
+    rng = random.Random(29)
+    for n in list(range(4, 13)) + [20, 40, 62]:
+        t = random_prufer_tree(rng, n)
+        zero = (0,) * n
+        m = generalized_distance_matrix(t)
+        assert certify(m, 3, ZZ) == Point(2, zero)
+        cert = certify(m, n, ZZ)
+        assert cert == Point((n - 1) * 2 ** (n - 2), zero)
+        assert check(cert, t, n, ZZ)
+
+
+def _assert_tree_phi_without_groebner(monkeypatch, sizes, seed):
+    """Φ_ℤ = 2 for a seeded non-star tree of each size, every verdict
+    certified: I_1 and I_2 by Bezout, I_3 by Point(2, 0)."""
+    import distideal.groebner as groebner_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger called")
+
+    monkeypatch.setattr(groebner_mod, "buchberger", refuse)
+    rng = random.Random(seed)
+    for n in sizes:
+        t = random_prufer_tree(rng, n)
+        while max(map(len, t.adj)) == n - 1:
+            t = random_prufer_tree(rng, n)
+        assert trivial_count_phi(t, ZZ) == 2, t
+
+
+def test_tree_phi_without_groebner(monkeypatch):
+    _assert_tree_phi_without_groebner(monkeypatch, range(10, 41), 30)
+
+
+@pytest.mark.slow
+def test_tree_phi_without_groebner_to_62(monkeypatch):
+    _assert_tree_phi_without_groebner(monkeypatch, range(41, 63), 31)
 
 
 def test_check_rejects_float_coefficient():
@@ -651,13 +746,11 @@ def test_check_rejects_non_exact_point():
     assert not check(Point(2, 5), family("complete", 4), 2, ZZ)
 
 
-def test_check_refuses_a_huge_prime_at_once():
-    # every prime certify emits is below 2^32, so check refuses a larger
-    # p before it trial-divides it; without that, 2^61 - 1 takes hours
-    k3 = family("complete", 3)
-    assert check(Point(7, (1, 1, 1)), k3, 2, ZZ)
+def test_check_takes_a_huge_modulus_at_once():
+    # a modulus costs one Smith form and one remainder, prime or not
     start = time.perf_counter()
-    assert not check(Point(2**61 - 1, (1, 1, 1)), k3, 2, ZZ)
+    # D(K3, (1, 1, 1)) = J, whose 2-minors are all 0
+    assert check(Point(2**61 - 1, (1, 1, 1)), family("complete", 3), 2, ZZ)
     assert not check(Point(1099511627791, (2, 2, 2, 2)),
                      family("cycle", 4), 2, ZZ)
     assert time.perf_counter() - start < 1
@@ -696,7 +789,7 @@ def test_vanishes_matches_minors_gcd():
                  for u in range(g.n)]
             for p in (0, 2, 3, 5):
                 for i in range(1, g.n + 1):
-                    want = _mod(minors_gcd(M, i), p) == 0
+                    want = _divides(p, minors_gcd(M, i))
                     assert _vanishes(dm, a, p, i) == want, (g.adj, a, p, i)
                     outcomes.add(want)
     assert outcomes == {False, True}
