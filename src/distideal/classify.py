@@ -72,7 +72,7 @@ def classify(g, ring):
     ValueError for a disconnected g."""
     coeff_ring, names = RINGS[ring]
     ideal_based = trivial_count_phi(g, coeff_ring, max_i=2) <= 1
-    forbidden = not any(contains_induced(g, p) for p in names)
+    forbidden = not contains_induced(g, *names)
     structural = is_complete(g) or (
         is_complete_bipartite(g) if ring == "Z" else is_star(g))
     return ClassificationReport(g, ring, ideal_based, forbidden, structural)

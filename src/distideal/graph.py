@@ -28,8 +28,14 @@ class Graph:
     adj: tuple
 
     def induced(self, vertices):
-        """Induced subgraph on the given vertices, relabeled 0..k-1."""
+        """Induced subgraph on the given vertices, relabeled 0..k-1 in
+        increasing order; they must be distinct, in range(n) and at
+        least one."""
         vertices = sorted(vertices)
+        if not (vertices and 0 <= vertices[0] and vertices[-1] < self.n
+                and len(set(vertices)) == len(vertices)):
+            raise ValueError("induced subgraph needs distinct vertices "
+                             "in 0..%d, at least one" % (self.n - 1))
         return _from_code(len(vertices), _code(self.adj, vertices))
 
 
@@ -137,15 +143,23 @@ def _code(adj, order):
     return bits
 
 
-def _from_code(n, bits):
+def _from_code(n, bits, shared=None):
+    """The graph on n >= 1 vertices with code ``bits``.  Its neighbour
+    sets are taken from ``shared``, a dict from each set to itself, when
+    an equal one is there, and added to it otherwise."""
+    adj = [set() for _ in range(n)]
     k = n * (n - 1) // 2
-    edges = []
-    for j in range(n):
+    for j in range(1, n):
+        row = adj[j]
         for i in range(j):
             k -= 1
             if (bits >> k) & 1:
-                edges.append((i, j))
-    return build_graph(n, edges)
+                adj[i].add(j)
+                row.add(i)
+    adj = map(frozenset, adj)
+    if shared is not None:
+        adj = (shared.setdefault(a, a) for a in adj)
+    return Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +262,25 @@ def _pattern_codes(name):
                      for order in permutations(range(pattern.n)))
 
 
-def contains_induced(g, name):
-    """True iff some vertex subset of g induces a copy of PATTERNS[name]."""
-    codes = _pattern_codes(name)
-    return any(_code(g.adj, subset) in codes
-               for subset in combinations(range(g.n), PATTERNS[name].n))
+@lru_cache(maxsize=None)
+def _codes_by_size(names):
+    """(k, the codes of the labellings of the k-vertex patterns among
+    ``names``) for each such k, smallest first."""
+    by_size = {}
+    for name in names:
+        by_size.setdefault(PATTERNS[name].n, set()).update(
+            _pattern_codes(name))
+    return tuple((k, frozenset(by_size[k])) for k in sorted(by_size))
+
+
+def contains_induced(g, *names):
+    """True iff some vertex subset of g induces a copy of PATTERNS[name]
+    for one of the ``names``: one pass over the k-subsets for each
+    pattern size k, each subset's code tested against all of them."""
+    adj = g.adj
+    return any(_code(adj, subset) in codes
+               for k, codes in _codes_by_size(names)
+               for subset in combinations(range(g.n), k))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +292,9 @@ def enumerate_connected(n_max):
     canonical-code deduplication."""
     if not (1 <= n_max <= MAX_ENUM_N):
         raise ValueError("n_max out of supported range 1..%d" % MAX_ENUM_N)
-    level = [build_graph(1, [])]
+    # one frozenset per distinct neighbour set, shared by every graph made
+    shared = {}
+    level = [_from_code(1, 0, shared)]
     yield level[0]
     for n in range(2, n_max + 1):
         new = n - 1
@@ -279,6 +309,6 @@ def enumerate_connected(n_max):
                 codes.add(_canonical_code(ext))
         # a graph decoded from its canonical code has that code again, so
         # the graphs come out sorted by (edge count, canonical code)
-        level = [_from_code(n, code) for code in
+        level = [_from_code(n, code, shared) for code in
                  sorted(codes, key=lambda c: (c.bit_count(), c))]
         yield from level

@@ -25,9 +25,9 @@ No function here bounds n: the n <= 8 bound belongs to the CLI.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice, takewhile
+from itertools import combinations
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from . import snf
@@ -212,11 +212,17 @@ def ideal_chain(g, ring=ZZ):
     return (Step(m, i, ring) for i in range(1, g.n + 1))
 
 
-def _leading_trivial(steps):
-    """How many steps lead the chain with trivial ideals.  Triviality is
-    downward-closed along the chain, so this is Φ when steps is the
-    whole chain, and it stops at the first nontrivial step."""
-    return sum(1 for _ in takewhile(attrgetter("trivial"), steps))
+def _leading_trivial(steps, cap=None):
+    """How many steps lead the chain with trivial ideals, at most ``cap``
+    of them.  Triviality is downward-closed along the chain, so this is
+    Φ when steps is the whole chain, and it stops at the first
+    nontrivial step."""
+    count = 0
+    for step in steps:
+        if count == cap or not step.trivial:
+            break
+        count += 1
+    return count
 
 
 def distance_ideal(g, i, ring=ZZ):
@@ -228,7 +234,9 @@ def distance_ideal(g, i, ring=ZZ):
 def trivial_count_phi(g, ring=ZZ, max_i=None):
     """Largest i with trivial i-th distance ideal (0 if none); max_i
     caps the scan for callers that only need a threshold comparison."""
-    return _leading_trivial(islice(ideal_chain(g, ring), max_i))
+    if max_i is not None and max_i < 0:
+        raise ValueError("max_i must be nonnegative")
+    return _leading_trivial(ideal_chain(g, ring), max_i)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ the order is set where terms are made, and readers rely on it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, neg
 
 ZZ = "ZZ"
@@ -23,6 +24,7 @@ QQ = "QQ"
 _TERM_STRINGS = {}
 
 
+@lru_cache(maxsize=None)
 def make_vars(n):
     return tuple("x%d" % i for i in range(n))
 

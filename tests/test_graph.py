@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields
 from itertools import permutations
 from math import comb, factorial
@@ -120,6 +121,24 @@ def test_neighbour_sets_invariant():
         assert h == g and hash(h) == hash(g)
 
 
+@pytest.mark.parametrize("vertices", [[-1, 0], [0, 0], [1, 2, 1], [0, 9],
+                                      [4], [], ()])
+def test_induced_rejects_bad_vertices(vertices):
+    # -1 would read adj[-1], the last vertex, and a repeated vertex would
+    # make a phantom copy of itself
+    with pytest.raises(ValueError, match="distinct vertices in 0..3"):
+        family("cycle", 4).induced(vertices)
+
+
+def test_induced_takes_any_order():
+    c4 = family("cycle", 4)
+    # 0, 1, 3 become 0, 1, 2, so the edges 0-1 and 3-0 become 0-1 and 0-2
+    assert c4.induced((3, 0, 1)) == c4.induced({0, 1, 3}) \
+        == build_graph(3, [(0, 1), (0, 2)])
+    assert c4.induced([2]) == build_graph(1, [])
+    assert c4.induced(range(4)) == c4
+
+
 def test_graph6_malformed():
     with pytest.raises(ValueError):
         parse_graph6("B")           # truncated
@@ -231,6 +250,21 @@ def test_enumeration_counts():
 def test_enumeration_range_check():
     with pytest.raises(ValueError):
         list(enumerate_connected(9))
+
+
+def test_enumeration_shares_neighbour_sets():
+    # the graphs are those enumerated before their sets were shared
+    graphs = list(enumerate_connected(6))
+    text = "\n".join(emit_graph6(g) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a4ceea3cea3a7f0ea011ac151a4164bed954252f58951dddc8cd970cab3883d3"
+    for n in (6, 7):
+        graphs = list(enumerate_connected(n))
+        sets = {id(a) for g in graphs for a in g.adj}
+        # every set is a subset of range(n), and equal sets are one object
+        assert len(sets) == len({a for g in graphs for a in g.adj}) <= 2 ** n
+    # against 6781 vertices for n <= 7
+    assert len(sets) == 125
 
 
 def _labeled_connected(n):

@@ -4,8 +4,10 @@ induced subgraphs and pattern search, and one BFS for connectivity,
 distances and the structural recognizers.  Every labeled graph on up to
 five vertices is checked, disconnected ones included; pattern search is
 also checked on every connected graph on up to six vertices, and on seven
-under ``slow``."""
+under ``slow``, and the search for several patterns at once on those up to
+six vertices and a seeded sample of seven."""
 
+import random
 import re
 from itertools import combinations
 
@@ -89,6 +91,32 @@ def test_contains_induced_matches_reference_connected_seven():
     hosts = [g for g in enumerate_connected(7) if g.n == 7]
     assert len(hosts) == 853
     _assert_contains_induced_matches_reference(hosts)
+
+
+def _name_sets():
+    """Every nonempty subset of the pattern names, 4-, 5- and 6-vertex
+    patterns mixed."""
+    names = sorted(PATTERNS)
+    return [subset for k in range(1, len(names) + 1)
+            for subset in combinations(names, k)]
+
+
+def test_contains_induced_of_several_patterns():
+    name_sets = _name_sets()
+    assert len(name_sets) == 2 ** len(PATTERNS) - 1
+    hosts = list(enumerate_connected(6))
+    sevens = [g for g in enumerate_connected(7) if g.n == 7]
+    hosts += random.Random(30).sample(sevens, 40)
+    hits = 0
+    for g in hosts:
+        found = {name: ref.contains_induced(g, name) for name in PATTERNS}
+        for names in name_sets:
+            hit = contains_induced(g, *names)
+            assert hit == any(contains_induced(g, p) for p in names) \
+                == any(found[p] for p in names), (emit_graph6(g), names)
+            hits += hit
+    # neither answer is the only one given
+    assert 0 < hits < len(hosts) * len(name_sets)
 
 
 @pytest.mark.parametrize("text", ["", "?", "@", "B", "Bwww", "A~", "A" + chr(62),

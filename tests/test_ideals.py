@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -156,6 +157,20 @@ def test_phi_max_i_cap():
     g = family("path", 4)
     assert trivial_count_phi(g, ZZ, max_i=1) == 1
     assert trivial_count_phi(g, ZZ, max_i=2) == 2
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_phi_max_i_edges(ring):
+    k1 = build_graph(1, [])
+    for g in (family("path", 4), family("cycle", 4), k1):
+        phi = trivial_count_phi(g, ring)
+        assert trivial_count_phi(g, ring, max_i=0) == 0
+        # a cap past n is no cap
+        assert trivial_count_phi(g, ring, max_i=g.n + 3) == phi
+        assert trivial_count_phi(g, ring, max_i=g.n) == phi
+        with pytest.raises(ValueError):
+            trivial_count_phi(g, ring, max_i=-1)
+    assert trivial_count_phi(k1, ring, max_i=1) == 0
 
 
 def test_evaluate_ideal_values():
@@ -531,6 +546,22 @@ def test_certified_verdicts_match_groebner(ring):
 @pytest.mark.parametrize("ring", [ZZ, QQ])
 def test_certified_verdicts_match_groebner_seven_vertices(ring):
     _assert_certified_verdicts(7, 7, 3, ring)
+
+
+def test_certificates_match_digest():
+    # sha256 of the certificates certify gave for every graph with n <= 6,
+    # every i and both rings, before its scan kept only masks and gcds
+    digest = hashlib.sha256()
+    count = 0
+    for g in enumerate_connected(6):
+        for ring in (ZZ, QQ):
+            m = generalized_distance_matrix(g)
+            for i in range(1, g.n + 1):
+                digest.update(repr(certify(m, i, ring)).encode() + b"\n")
+                count += 1
+    assert count == 1620
+    assert digest.hexdigest() == \
+        "8c24f1ffe70f2fb9ec486f8fb6aac3848f49efe25c83c4e235ba34faea3cd564"
 
 
 def test_certificate_examples():
