@@ -57,7 +57,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .poly import QQ, ZZ, Polynomial
+from .poly import QQ, ZZ, Polynomial, check_ring
 
 
 def _ext_gcd(a, b):
@@ -463,11 +463,12 @@ class Ideal:
     """The ideal of ring[vars] generated by ``gens``, which owns its
     reduced (strong, over ZZ) Groebner basis, computed on first use.
     The generators are kept as given: integer polynomials may generate
-    a QQ ideal."""
+    a QQ ideal.  A ring other than ZZ or QQ raises ValueError."""
 
     __slots__ = ("ring", "vars", "gens", "_basis")
 
     def __init__(self, ring, vars, gens):
+        check_ring(ring)
         self.ring = ring
         self.vars = tuple(vars)
         if any(g.vars != self.vars for g in gens):

@@ -12,14 +12,18 @@ routine, ``_delta``, and Δ_i of D(G) off one Smith form per matrix,
 minors: an integer recurrence on D(G) gives it in O(n^4) steps.
 
 Every distance-ideal verdict is read off a ``Step``, I_i for one index
-i, which does no work until it is read.  Its verdict comes from
-``certify`` when it finds a certificate that integer arithmetic can
-``check``, and from the Groebner basis of the i-minors otherwise; the
-minors are expanded only when a caller reads the step's ideal.  One
-walker, ``ideal_chain``, builds one symbolic matrix per graph and one
-step per index, and ``trivial_count_phi`` (Φ) and ``ideal_report`` read
-their steps off one walk; ``distance_ideal`` builds its one step alone.
-No function here bounds n: the n <= 8 bound belongs to the CLI.
+i over ZZ or QQ, which does no work until it is read.  Its verdict
+comes from ``certify`` when it finds a certificate that integer
+arithmetic can ``check``, and from the Groebner basis of the i-minors
+otherwise; the minors are expanded only when a caller reads the step's
+ideal.  One walker, ``ideal_chain``, builds one symbolic matrix per
+graph and one step per index, and ``trivial_count_phi`` (Φ) and
+``ideal_report`` read their steps off one walk; ``distance_ideal``
+builds its one step alone.  The chain I_1 ⊇ I_2 ⊇ ... ⊇ I_n makes the
+trivial ideals a prefix of length Φ, so a report reads every verdict
+off Φ: I_i is trivial exactly when i <= Φ, and only the steps 1..Φ + 1
+are ever certified.  No function here bounds n: the n <= 8 bound
+belongs to the CLI.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import NamedTuple
 from . import snf
 from .graph import MAX_N, all_pairs_distances, emit_graph6
 from .groebner import Ideal, _ext_gcd
-from .poly import QQ, ZZ, Polynomial, make_vars
+from .poly import QQ, ZZ, Polynomial, check_ring, make_vars
 
 
 class SymbolicMatrix:
@@ -179,11 +183,13 @@ def minors(matrix, i):
 class Step:
     """I_i of the distance-ideal chain of ``matrix`` over ``ring``, doing
     nothing until read: ``trivial`` runs ``certify`` once and caches the
-    verdict, and the ideal of the i-minors is computed on first read."""
+    verdict, and the ideal of the i-minors is computed on first read.
+    A ring other than ZZ or QQ raises ValueError."""
 
     __slots__ = ("matrix", "index", "ring", "_trivial", "_ideal")
 
     def __init__(self, matrix, index, ring):
+        check_ring(ring)
         self.matrix, self.index, self.ring = matrix, index, ring
         self._trivial = self._ideal = None
 
@@ -234,8 +240,8 @@ def distance_ideal(g, i, ring=ZZ):
 def trivial_count_phi(g, ring=ZZ, max_i=None):
     """Largest i with trivial i-th distance ideal (0 if none); max_i
     caps the scan for callers that only need a threshold comparison."""
-    if max_i is not None and max_i < 0:
-        raise ValueError("max_i must be nonnegative")
+    if max_i is not None and not (isinstance(max_i, int) and max_i >= 0):
+        raise ValueError("max_i must be None or a nonnegative int")
     return _leading_trivial(ideal_chain(g, ring), max_i)
 
 
@@ -271,11 +277,22 @@ def certify(m, i, ring=ZZ):
     is 1; over QQ one nonzero constant minor is enough.  Constant minors
     need n >= 2i.
 
-    Nontrivial at i = 2 and n >= 3: rank D(G, a) <= 1 forces
-    a_u = d_uv * d_uw / d_vw whenever d_vw is invertible, so there is one
-    candidate point mod the gcd g_2 of the constant 2-minors (no star has
-    g_2 >= 2, so it exists), which holds mod gcd(g_2, Δ_2(D(G, a))), or
-    one rational candidate when g_2 = 0 (over QQ the only case left)."""
+    Nontrivial at i = 2 and n >= 3 by the rule of i >= 3 at one point:
+    the scan leaves g_2, the gcd of the constant 2-minors, at 0 or, over
+    ZZ only, at >= 2, and a is the one candidate point mod g_2 of
+    ``_rank_one_point``.  With d = Δ_2(D(G, a)), the gcd of the 2-minors
+    of D(G, a), it is ``Point(d, a)`` when d != 1:
+
+    - g_2 != 0: the constant 2-minors of D(G, a) are those of D(G), so
+      d divides g_2; it is not 0, and d != 1 makes it >= 2.
+    - g_2 = 0: D(G, a) has rank <= 1, so d = 0 with no Smith form.  The
+      constant minor on rows u, v and columns w, x is
+      d_uw d_vx - d_ux d_vw = 0, so a_u = d_uv d_uw / d_vw is the same
+      for every pair v, w (change one at a time); then every 2-minor
+      vanishes: a_u d_vw - d_uv d_uw on rows u, v and columns u, w, and
+      a_u a_v - d_uv^2 on rows and columns u, v (a_v off the pair u, w).
+      Over QQ, where one nonzero constant minor is a Bezout, this is the
+      only case that reaches the point."""
     if i >= 3:
         d = m.delta(i)
         if d == 0 or (d > 1 and ring == ZZ):
@@ -297,12 +314,9 @@ def certify(m, i, ring=ZZ):
                 return Bezout(tuple(pairs), tuple(coeffs))
     if i == 2 and m.n >= 3:
         a = _rank_one_point(m.const, g)
-        if a is not None and g:
-            q = gcd(g, _delta(m.const, a, 2))
-            if q > 1:
-                return Point(q, a)
-        elif a is not None and _vanishes(m.const, a, 0, 2):
-            return Point(0, a)
+        d = _delta(m.const, a, 2) if g else 0
+        if d != 1:
+            return Point(d, a)
     return None
 
 
@@ -316,12 +330,12 @@ def check(cert, g, i, ring=ZZ):
     and ints or Fractions over QQ, p is 0 or, over ZZ only, an int >= 2
     (prime or not), and the coordinates of a point are ints for p > 0
     and ints or Fractions for p = 0.  A certificate of any other shape,
-    such as a list where a tuple belongs or a float index, gives False,
-    never an exception."""
+    such as a list where a tuple belongs or a float index, or a ring
+    other than ZZ or QQ, gives False, never an exception."""
     n = g.n
-    if not (isinstance(i, int) and 1 <= i <= n):
+    if not (isinstance(i, int) and 1 <= i <= n and ring in (ZZ, QQ)):
         return False
-    m = generalized_distance_matrix(g)
+    dm = all_pairs_distances(g)
     if isinstance(cert, Bezout):
         pairs, coeffs = cert
         exact = int if ring == ZZ else (int, Fraction)
@@ -329,13 +343,13 @@ def check(cert, g, i, ring=ZZ):
                 and len(pairs) == len(coeffs)
                 and all(isinstance(c, exact) for c in coeffs)):
             return False
-        total = 0
+        total, det = 0, snf.LaplaceMemo(dm).det
         for pair, c in zip(pairs, coeffs):
             if not (isinstance(pair, tuple) and len(pair) == 2
                     and all(_is_index_set(s, i, n) for s in pair)
                     and not set(pair[0]) & set(pair[1])):
                 return False
-            total += c * m.det(_mask(pair[0]), _mask(pair[1]))
+            total += c * det(_mask(pair[0]), _mask(pair[1]))
         return total == 1
     if isinstance(cert, Point):
         p, a = cert
@@ -347,7 +361,7 @@ def check(cert, g, i, ring=ZZ):
         # a point mod p says nothing over QQ
         if p and (ring == QQ or p < 2):
             return False
-        return _vanishes(m.const, a, p, i)
+        return _vanishes(dm, a, p, i)
     return False
 
 
@@ -378,17 +392,23 @@ def _is_index_set(s, i, n):
 
 def _rank_one_point(dm, p):
     """a_u = d_uv * d_uw / d_vw mod p (p = 0: over QQ), off the first pair
-    v < w, both other than u, with d_vw invertible; None when some u has
-    no such pair.  Mod each prime of p it is the only point where D(G, a)
-    can have rank <= 1."""
+    v < w, both other than u, with d_vw invertible, for the distance
+    matrix dm of a connected graph on n >= 3 vertices and p the gcd g_2
+    of its constant 2-minors.  Mod each prime of p it is the only point
+    where D(G, a) can have rank <= 1.
+
+    The pair exists for every u.  For p = 0 any pair will do, since
+    distinct vertices are at distance >= 1.  For p != 0 an edge vw of
+    G - u has d_vw = 1; and if every edge meets u, G is the star with
+    centre u, whose constant 2-minors are all 0 (each is
+    det [[2, 2], [2, 2]], or det [[1, 1], [2, 2]] up to order and
+    transpose), so p = 0 there."""
     n = len(dm)
     a = []
     for u in range(n):
-        for v, w in combinations([x for x in range(n) if x != u], 2):
-            if gcd(dm[v][w], p) == 1 if p else dm[v][w]:
-                break
-        else:
-            return None
+        others = [x for x in range(n) if x != u]
+        v, w = next((v, w) for v, w in combinations(others, 2)
+                    if not p or gcd(dm[v][w], p) == 1)
         num = dm[u][v] * dm[u][w]
         a.append(num * pow(dm[v][w], -1, p) % p if p
                  else Fraction(num, dm[v][w]))
@@ -474,20 +494,23 @@ def _horner(coeffs, r):
 def ideal_report(g, ring=ZZ, indices=None):
     """JSON-ready report of the distance ideals of a graph.
 
-    One walk up the chain serves the records and Φ: a Groebner basis is
-    computed for each requested index, and below the first nontrivial
-    ideal only where no certificate settles the verdict; a step neither
-    requested nor needed for Φ is never certified.
+    One walk up the chain gives Φ, certifying steps 1..Φ + 1 and running
+    Buchberger among them only where no certificate settles the verdict.
+    Every record's verdict is read off Φ: the chain I_1 ⊇ I_2 ⊇ ...
+    makes triviality downward-closed, so I_i is trivial exactly when
+    i <= Φ.  A Groebner basis is then computed for each requested index,
+    and a requested step above Φ + 1 is never certified.
     """
     indices = list(indices) if indices is not None else list(range(1, g.n + 1))
     if not all(1 <= i <= g.n for i in indices):
         raise ValueError("ideal index out of range")
     steps = list(ideal_chain(g, ring))
+    phi = _leading_trivial(steps)
     records = [{
         "i": step.index,
         "generators": [p.render() for p in step.ideal.gens],
         "groebner_basis": [p.render() for p in step.ideal.basis],
-        "trivial": step.trivial,
+        "trivial": step.index <= phi,
     } for step in (steps[i - 1] for i in indices)]
     return {
         "schema": "v1",
@@ -495,5 +518,5 @@ def ideal_report(g, ring=ZZ, indices=None):
         "graph6": emit_graph6(g),
         "ring": "Z" if ring == ZZ else "Q",
         "ideals": records,
-        "phi": _leading_trivial(steps),
+        "phi": phi,
     }

@@ -20,6 +20,12 @@ ZZ = "ZZ"
 QQ = "QQ"
 
 
+def check_ring(ring):
+    """Raise ValueError unless ``ring`` is ZZ or QQ, the two rings."""
+    if ring not in (ZZ, QQ):
+        raise ValueError("unknown ring %r" % (ring,))
+
+
 # registry -> {exponent tuple: its string in Polynomial.render}
 _TERM_STRINGS = {}
 
@@ -58,8 +64,7 @@ def _coerce(ring, c):
         raise TypeError("bad %s coefficient %r" % (ring, c))
     if ring == QQ:
         return Fraction(c)
-    if ring != ZZ:
-        raise ValueError("unknown ring %r" % (ring,))
+    check_ring(ring)
     if c.denominator != 1:
         raise ValueError("non-integer coefficient %s over ZZ" % c)
     return int(c)

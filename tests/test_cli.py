@@ -5,7 +5,10 @@ import shlex
 import jsonschema
 import pytest
 
+from distideal import classify as classify_mod
+from distideal import families as families_mod
 from distideal.cli import MAX_MINOR_N, main
+from distideal.graph import PATTERNS, family
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src",
                            "distideal", "schemas", "report-v1.schema.json")
@@ -117,6 +120,60 @@ def test_families_verify(capsys):
     code, out, _ = run(capsys, "families", "verify")
     assert code == 0
     assert all(line.endswith("pass") for line in out.splitlines())
+
+
+def test_classify_exits_2_on_a_disagreement(monkeypatch, capsys):
+    # a structural decider blind to complete graphs calls K3 outside the
+    # class, where the ideal and forbidden-subgraph deciders put it
+    monkeypatch.setattr(classify_mod, "is_complete", lambda g: False)
+    code, out, _ = run(capsys, "classify", "--nmax", "3")
+    assert code == 2
+    assert out.strip() == "pass 4/4, disagreements 1, minimal forbidden ok"
+    code, out, _ = run(capsys, "classify", "--nmax", "3", "--format", "json")
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert code == 2 and payload["disagreements"] == ["Bw"]
+
+
+# P4 replaced by K3 fails the pattern's own test, Φ = 2, at the first
+# call, capped at max_i = 3; replaced by P5, whose Φ is 2, it fails the
+# test of a proper induced subgraph, P4 with Φ = 2, capped at max_i = 2
+@pytest.mark.parametrize("spec, caps_ok", [
+    (("complete", 3), lambda caps: caps == [3]),
+    (("path", 5), lambda caps: caps[0] == 3 and caps[-1] == 2)])
+def test_classify_exits_2_when_minimal_forbidden_fails(
+        monkeypatch, capsys, spec, caps_ok):
+    caps = []
+    real = classify_mod.trivial_count_phi
+
+    def recording(g, ring, max_i=None):
+        caps.append(max_i)
+        return real(g, ring, max_i)
+
+    monkeypatch.setattr(classify_mod, "PATTERNS",
+                        dict(PATTERNS, P4=family(*spec)))
+    monkeypatch.setattr(classify_mod, "trivial_count_phi", recording)
+    assert not classify_mod.minimal_forbidden_ok("Z")
+    assert caps_ok(caps), caps
+    code, out, _ = run(capsys, "classify", "--nmax", "3")
+    assert code == 2
+    assert out.strip() == \
+        "pass 4/4, disagreements 0, minimal forbidden FAILED"
+
+
+def test_families_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(families_mod, "verify_family",
+                        lambda spec: spec.kind != "star")
+    code, out, _ = run(capsys, "families", "verify")
+    lines = out.splitlines()
+    assert code == 2
+    assert [line.startswith("star") for line in lines] == \
+        [line.endswith("FAIL") for line in lines]
+    assert any(line.endswith("FAIL") for line in lines)
+    code, out, _ = run(capsys, "families", "verify", "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert code == 2
+    assert [r["ok"] for r in rows] == [r["kind"] != "star" for r in rows]
 
 
 def test_corpus_counts(capsys):

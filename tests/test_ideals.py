@@ -1,9 +1,10 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +12,8 @@ from distideal import ideals as ideals_mod
 from distideal.graph import (all_pairs_distances, build_graph,
                              enumerate_connected, family, is_connected)
 from distideal.groebner import Ideal, ideals_equal
-from distideal.ideals import (Bezout, Point, _vanishes, certify,
+from distideal.ideals import (Bezout, Point, SymbolicMatrix,
+                              _rank_one_point, _vanishes, certify,
                               char_poly_distance, check, det_symbolic,
                               distance_ideal, evaluate_ideal,
                               generalized_distance_matrix, ideal_chain,
@@ -168,9 +170,35 @@ def test_phi_max_i_edges(ring):
         # a cap past n is no cap
         assert trivial_count_phi(g, ring, max_i=g.n + 3) == phi
         assert trivial_count_phi(g, ring, max_i=g.n) == phi
-        with pytest.raises(ValueError):
-            trivial_count_phi(g, ring, max_i=-1)
+        # a cap is None or a nonnegative int: a float is never equal to
+        # the count, so it would lift the cap
+        for bad in (-1, 1.5, 2.0, "2"):
+            with pytest.raises(ValueError):
+                trivial_count_phi(g, ring, max_i=bad)
     assert trivial_count_phi(k1, ring, max_i=1) == 0
+
+
+@pytest.mark.parametrize("tag", ["Q", "Z", "R"])
+def test_unknown_ring_tag_raises(tag):
+    # not ZZ answers under another name: every entry point refuses a tag
+    # other than ZZ or QQ, and check rejects a certificate over one
+    c4 = family("cycle", 4)
+    with pytest.raises(ValueError, match="unknown ring"):
+        distance_ideal(c4, 2, tag)
+    with pytest.raises(ValueError, match="unknown ring"):
+        trivial_count_phi(c4, tag)
+    with pytest.raises(ValueError, match="unknown ring"):
+        trivial_count_phi(c4, tag, max_i=0)
+    for indices in ([2], None):
+        with pytest.raises(ValueError, match="unknown ring"):
+            ideal_report(c4, tag, indices)
+    m = generalized_distance_matrix(c4)
+    with pytest.raises(ValueError, match="unknown ring"):
+        Ideal(tag, m.vars, minors(m, 2))
+    for ring in (ZZ, QQ):
+        cert = certify(m, 2, ring)
+        assert check(cert, c4, 2, ring)
+        assert not check(cert, c4, 2, tag)
 
 
 def test_evaluate_ideal_values():
@@ -578,6 +606,18 @@ def test_certificate_examples():
         is None
 
 
+def test_i2_point_mod_2():
+    # no graph with n <= 8 has g_2 = 2 (g_2 >= 2 means g_2 = 3 there),
+    # but a symmetric matrix with odd entries off its diagonal has even
+    # constant 2-minors: here g_2 = gcd(0, 2, 2) = 2, and D(a) is J mod 2
+    const = [[0, 3, 1, 1], [3, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+    m = SymbolicMatrix(make_vars(4), const)
+    assert certify(m, 2, ZZ) == Point(2, (1, 1, 1, 1))
+    assert _vanishes(const, (1, 1, 1, 1), 2, 2)
+    assert not Ideal(ZZ, m.vars, minors(m, 2)).is_trivial()
+    assert isinstance(certify(m, 2, QQ), Bezout)
+
+
 def _small_certificates(kind, ring):
     return [(g, i, c) for g, i, c in _certificates(4, 6, 3, ring)
             if isinstance(c, kind)]
@@ -787,9 +827,7 @@ def test_check_takes_a_huge_modulus_at_once():
     assert time.perf_counter() - start < 1
 
 
-def test_report_certifies_only_the_steps_it_reads(monkeypatch):
-    # K_n: I_1 is trivial and I_2 is not, so a report of I_1 reads steps
-    # 1 and 2 only, and certifies no step above them
+def _certified_steps(monkeypatch, g, ring, indices):
     calls = []
 
     def counting(m, i, ring=ZZ):
@@ -797,8 +835,28 @@ def test_report_certifies_only_the_steps_it_reads(monkeypatch):
         return certify(m, i, ring)
 
     monkeypatch.setattr(ideals_mod, "certify", counting)
-    assert ideal_report(family("complete", 8), ZZ, [1])["phi"] == 1
+    return ideal_report(g, ring, indices), calls
+
+
+def test_report_certifies_only_the_steps_it_reads(monkeypatch):
+    # K_n: I_1 is trivial and I_2 is not, so a report of I_1 reads steps
+    # 1 and 2 only, and certifies no step above them
+    rep, calls = _certified_steps(monkeypatch, family("complete", 8), ZZ,
+                                  [1])
+    assert rep["phi"] == 1 and calls == [1, 2]
+
+
+def test_report_reads_its_verdicts_off_phi(monkeypatch):
+    # a requested step above Φ + 1 is trivial only if i <= Φ, which it
+    # is not, so it is never certified
+    rep, calls = _certified_steps(monkeypatch, family("complete", 8), ZZ,
+                                  [5])
     assert calls == [1, 2]
+    assert rep["phi"] == 1 and rep["ideals"][0]["trivial"] is False
+    # a whole report certifies steps 1..Φ + 1 only: Φ_ℚ(C6) = 3
+    rep, calls = _certified_steps(monkeypatch, family("cycle", 6), QQ, None)
+    assert calls == [1, 2, 3, 4] and rep["phi"] == 3
+    assert [r["trivial"] for r in rep["ideals"]] == [True] * 3 + [False] * 3
 
 
 def test_report_of_a_large_complete_graph():
@@ -824,3 +882,73 @@ def test_vanishes_matches_minors_gcd():
                     assert _vanishes(dm, a, p, i) == want, (g.adj, a, p, i)
                     outcomes.add(want)
     assert outcomes == {False, True}
+
+
+def test_check_rejects_what_is_not_a_certificate():
+    # only a Bezout or a Point proves anything, whatever its shape
+    g = family("path", 4)
+    good = Bezout((((0,), (3,)),), (Fraction(1, 3),))
+    assert check(good, g, 1, QQ)
+    for cert in (tuple(good), list(good), None, 1, "Bezout",
+                 (0, (0, 0, 0, 0))):
+        assert not check(cert, g, 1, QQ), cert
+
+
+# ---------------------------------------------------------------------------
+# the three facts behind certify's I_2 point
+
+def _constant_2_minor_gcd(dm):
+    """g_2: the gcd of the 2-minors of dm on disjoint rows and columns."""
+    n = len(dm)
+    g2 = 0
+    for r0, r1 in combinations(range(n), 2):
+        for c0, c1 in combinations([x for x in range(n) if x not in (r0, r1)],
+                                   2):
+            g2 = gcd(g2, dm[r0][c0] * dm[r1][c1] - dm[r0][c1] * dm[r1][c0])
+    return g2
+
+
+def _assert_rank_one_point_facts(graphs):
+    """For each graph with n >= 3: (1) every u has a pair v, w avoiding
+    it with d_vw invertible mod g_2 (nonzero for g_2 = 0), so the
+    candidate a exists; (2) at g_2 = 0 every 2-minor of D(G, a) is
+    exactly 0; (3) otherwise Δ_2(D(G, a)) divides g_2.  Returns how many
+    graphs had each g_2."""
+    seen = Counter()
+    for g in graphs:
+        n = g.n
+        if n < 3:
+            continue
+        dm = all_pairs_distances(g)
+        g2 = _constant_2_minor_gcd(dm)
+        seen[g2] += 1
+        for u in range(n):
+            others = [x for x in range(n) if x != u]
+            assert any(gcd(dm[v][w], g2) == 1 if g2 else dm[v][w]
+                       for v, w in combinations(others, 2)), (g.adj, u)
+        a = _rank_one_point(dm, g2)
+        M = [[a[u] if u == v else dm[u][v] for v in range(n)]
+             for u in range(n)]
+        if g2 == 0:
+            assert all(M[r0][c0] * M[r1][c1] == M[r0][c1] * M[r1][c0]
+                       for r0, r1 in combinations(range(n), 2)
+                       for c0, c1 in combinations(range(n), 2)), g.adj
+        else:
+            assert g2 % minors_gcd(M, 2) == 0, g.adj
+    return seen
+
+
+def test_rank_one_point_facts():
+    seen = _assert_rank_one_point_facts(enumerate_connected(7))
+    # every case of certify's I_2 branch comes up
+    assert seen[0] and seen[1] and any(g2 > 1 for g2 in seen), seen
+
+
+@pytest.mark.slow
+def test_rank_one_point_facts_eight_vertices(connected8):
+    _assert_rank_one_point_facts(g for g in connected8 if g.n == 8)
+    _assert_rank_one_point_facts(
+        [family("complete", n) for n in range(3, 16)]
+        + [family("star", m) for m in range(2, 15)]
+        + [family("complete_bipartite", p, q)
+           for p in range(1, 8) for q in range(p, 16 - p)])
