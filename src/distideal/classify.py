@@ -20,6 +20,13 @@ FORBIDDEN_R = ("P4", "paw", "diamond", "C4")
 RINGS = {"Z": (ZZ, FORBIDDEN_Z), "R": (QQ, FORBIDDEN_R)}
 
 
+def _ring(tag):
+    """RINGS[tag]; a tag other than "Z" or "R" raises ValueError."""
+    if tag not in ("Z", "R"):
+        raise ValueError("unknown ring %r: expected 'Z' or 'R'" % (tag,))
+    return RINGS[tag]
+
+
 # ---------------------------------------------------------------------------
 # structural recognizers (independent of the pattern matcher)
 
@@ -69,8 +76,10 @@ def classify(g, ring):
     """The three deciders of g over ring "Z" or "R", each looked up in
     the module globals per call, so a swapped-in wrapper is what runs.
     The ideal decider runs first, and its distance matrix raises a
-    ValueError for a disconnected g."""
-    coeff_ring, names = RINGS[ring]
+    ValueError for a disconnected g.  Φ is read through the graph's own
+    record of proved bounds, so over "R" it skips what a "Z" call on
+    the same object already showed."""
+    coeff_ring, names = _ring(ring)
     ideal_based = trivial_count_phi(g, coeff_ring, max_i=2) <= 1
     forbidden = not contains_induced(g, *names)
     structural = is_complete(g) or (
@@ -91,8 +100,10 @@ def classify_R(g):
 
 def minimal_forbidden_ok(ring):
     """Each forbidden pattern has exactly two trivial ideals while all of
-    its proper connected induced subgraphs have at most one."""
-    coeff_ring, names = RINGS[ring]
+    its proper connected induced subgraphs have at most one.  The
+    patterns live as long as the process, so a second call reads their
+    Φ off their records."""
+    coeff_ring, names = _ring(ring)
     for name in names:
         g = PATTERNS[name]
         if trivial_count_phi(g, coeff_ring, max_i=3) != 2:
@@ -136,7 +147,9 @@ class CorpusReport:
 
 
 def corpus_report(n_max, ring):
-    """Run all three deciders over the connected corpus and compare."""
+    """Run all three deciders over the connected corpus and compare.  An
+    unknown ring tag raises ValueError before any graph is built."""
+    _ring(ring)
     passing = 0
     per_size = {}
     disagreements = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations, product
 
 MAX_N = 62
@@ -26,6 +26,14 @@ class Graph:
     """n vertices 0..n-1; adj[v] is the frozenset of the neighbours of v."""
     n: int
     adj: tuple
+
+    @cached_property
+    def ideal_bounds(self):
+        """The distance-ideal bounds proved so far for this instance, ring
+        -> (lo, hi): I_1..I_lo are trivial and I_hi is not (hi = n + 1
+        when no step is known nontrivial).  Made empty on first read and
+        kept while the instance lives; equal graphs do not share it."""
+        return {}
 
     def induced(self, vertices):
         """Induced subgraph on the given vertices, relabeled 0..k-1 in

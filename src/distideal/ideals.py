@@ -17,13 +17,21 @@ comes from ``certify`` when it finds a certificate that integer
 arithmetic can ``check``, and from the Groebner basis of the i-minors
 otherwise; the minors are expanded only when a caller reads the step's
 ideal.  One walker, ``ideal_chain``, builds one symbolic matrix per
-graph and one step per index, and ``trivial_count_phi`` (Φ) and
-``ideal_report`` read their steps off one walk; ``distance_ideal``
+graph and one step per index for ``ideal_report``; ``distance_ideal``
 builds its one step alone.  The chain I_1 ⊇ I_2 ⊇ ... ⊇ I_n makes the
 trivial ideals a prefix of length Φ, so a report reads every verdict
 off Φ: I_i is trivial exactly when i <= Φ, and only the steps 1..Φ + 1
-are ever certified.  No function here bounds n: the n <= 8 bound
-belongs to the CLI.
+are ever certified.
+
+``trivial_count_phi`` (Φ) keeps what its walks prove on the graph
+object, as ``Graph.ideal_bounds``: per ring, a trivial prefix and the
+first step known nontrivial.  The chain is the same in both rings and
+an ideal trivial over ZZ is trivial over QQ, so Φ_ZZ <= Φ_QQ: a ZZ
+prefix counts over QQ and a QQ-nontrivial step caps a ZZ walk.  A call
+walks only the steps those bounds leave open, and builds no matrix
+when they fix its answer; the record holds bounds only, never D(G) or
+a basis.  No function here bounds n: the n <= 8 bound belongs to the
+CLI.
 """
 
 from __future__ import annotations
@@ -218,14 +226,13 @@ def ideal_chain(g, ring=ZZ):
     return (Step(m, i, ring) for i in range(1, g.n + 1))
 
 
-def _leading_trivial(steps, cap=None):
-    """How many steps lead the chain with trivial ideals, at most ``cap``
-    of them.  Triviality is downward-closed along the chain, so this is
-    Φ when steps is the whole chain, and it stops at the first
-    nontrivial step."""
+def _leading_trivial(steps):
+    """How many steps lead the chain with trivial ideals.  Triviality is
+    downward-closed along the chain, so this is Φ when steps is the
+    whole chain, and it stops at the first nontrivial step."""
     count = 0
     for step in steps:
-        if count == cap or not step.trivial:
+        if not step.trivial:
             break
         count += 1
     return count
@@ -239,10 +246,32 @@ def distance_ideal(g, i, ring=ZZ):
 
 def trivial_count_phi(g, ring=ZZ, max_i=None):
     """Largest i with trivial i-th distance ideal (0 if none); max_i
-    caps the scan for callers that only need a threshold comparison."""
-    if max_i is not None and not (isinstance(max_i, int) and max_i >= 0):
+    caps the scan for callers that only need a threshold comparison.
+
+    The walk reads and extends ``g.ideal_bounds``, the bounds already
+    proved for this graph object.  Trivial over ZZ is trivial over QQ,
+    so a ZZ-trivial prefix counts over QQ, and a QQ-nontrivial I_j caps
+    the ZZ walk at j - 1.  Only the steps those bounds leave open are
+    certified, and a call whose answer they fix (such as max_i=0)
+    builds no matrix at all."""
+    if max_i is not None and not (type(max_i) is int and max_i >= 0):
         raise ValueError("max_i must be None or a nonnegative int")
-    return _leading_trivial(ideal_chain(g, ring), max_i)
+    check_ring(ring)
+    bounds = g.ideal_bounds
+    lo, hi = bounds.get(ring, (0, g.n + 1))
+    if ring == QQ and ZZ in bounds:
+        lo = max(lo, bounds[ZZ][0])
+    if ring == ZZ and QQ in bounds:
+        hi = min(hi, bounds[QQ][1])
+    top = hi - 1 if max_i is None else min(hi - 1, max_i)
+    if lo < top:
+        m = generalized_distance_matrix(g)
+        while lo < top and Step(m, lo + 1, ring).trivial:
+            lo += 1
+        if lo < top:
+            hi = lo + 1
+        bounds[ring] = (lo, hi)
+    return min(lo, top)
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +358,20 @@ def check(cert, g, i, ring=ZZ):
     used.  Only exact numbers count: the coefficients are ints over ZZ
     and ints or Fractions over QQ, p is 0 or, over ZZ only, an int >= 2
     (prime or not), and the coordinates of a point are ints for p > 0
-    and ints or Fractions for p = 0.  A certificate of any other shape,
-    such as a list where a tuple belongs or a float index, or a ring
-    other than ZZ or QQ, gives False, never an exception."""
+    and ints or Fractions for p = 0; a bool is not an int here.  A
+    certificate of any other shape, such as a list where a tuple belongs
+    or a float or bool index, or a ring other than ZZ or QQ, gives
+    False, never an exception."""
     n = g.n
-    if not (isinstance(i, int) and 1 <= i <= n and ring in (ZZ, QQ)):
+    if not (type(i) is int and 1 <= i <= n and ring in (ZZ, QQ)):
         return False
     dm = all_pairs_distances(g)
     if isinstance(cert, Bezout):
         pairs, coeffs = cert
-        exact = int if ring == ZZ else (int, Fraction)
+        exact = (int,) if ring == ZZ else (int, Fraction)
         if not (isinstance(pairs, tuple) and isinstance(coeffs, tuple)
                 and len(pairs) == len(coeffs)
-                and all(isinstance(c, exact) for c in coeffs)):
+                and all(type(c) in exact for c in coeffs)):
             return False
         total, det = 0, snf.LaplaceMemo(dm).det
         for pair, c in zip(pairs, coeffs):
@@ -353,10 +383,10 @@ def check(cert, g, i, ring=ZZ):
         return total == 1
     if isinstance(cert, Point):
         p, a = cert
-        if not (isinstance(p, int) and isinstance(a, tuple) and len(a) == n):
+        if not (type(p) is int and isinstance(a, tuple) and len(a) == n):
             return False
-        exact = int if p else (int, Fraction)
-        if not all(isinstance(x, exact) for x in a):
+        exact = (int,) if p else (int, Fraction)
+        if not all(type(x) in exact for x in a):
             return False
         # a point mod p says nothing over QQ
         if p and (ring == QQ or p < 2):
@@ -386,7 +416,7 @@ def _constant_pairs(n, i):
 def _is_index_set(s, i, n):
     """Whether s is a tuple of i increasing ints in range(n)."""
     return (isinstance(s, tuple) and len(s) == i
-            and all(isinstance(v, int) for v in s)
+            and all(type(v) is int for v in s)
             and s == tuple(sorted(set(s))) and all(0 <= v < n for v in s))
 
 

@@ -5,6 +5,8 @@ from distideal.classify import (FORBIDDEN_R, FORBIDDEN_Z, classify,
                                 is_complete, is_complete_bipartite, is_star,
                                 minimal_forbidden_ok)
 from distideal.graph import PATTERNS, build_graph, enumerate_connected, family
+from distideal.ideals import trivial_count_phi
+from distideal.poly import QQ, ZZ
 
 
 def test_structural_recognizers():
@@ -128,3 +130,53 @@ def test_classify_needs_no_groebner_basis(monkeypatch):
     for g in enumerate_connected(6):
         if g.n >= 4:
             assert classify_Z(g).agreement and classify_R(g).agreement
+
+
+@pytest.mark.parametrize("tag", ["Q", ZZ, QQ, "r", None])
+def test_unknown_ring_tag_raises(monkeypatch, tag):
+    import distideal.classify as classify_mod
+    c4 = family("cycle", 4)
+    with pytest.raises(ValueError, match="'Z' or 'R'"):
+        classify(c4, tag)
+    with pytest.raises(ValueError, match="'Z' or 'R'"):
+        minimal_forbidden_ok(tag)
+
+    # the tag is checked before any graph is built
+    def refuse(n_max):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(classify_mod, "enumerate_connected", refuse)
+    with pytest.raises(ValueError, match="'Z' or 'R'"):
+        corpus_report(3, tag)
+
+
+def test_r_after_z_reads_no_distance_matrix(monkeypatch):
+    # a corpus item classifies one graph object over Z and then R: when
+    # Φ_Z >= 2, the R decider is settled by the Z walk's bounds, so the
+    # item builds one D(G) and certifies nothing over R
+    import distideal.ideals as ideals_mod
+    built = []
+    real = ideals_mod.all_pairs_distances
+
+    def counting(g):
+        built.append(g)
+        return real(g)
+
+    def refuse(*args):
+        raise AssertionError("certify called")
+
+    settled = 0
+    for g in enumerate_connected(7):
+        monkeypatch.setattr(ideals_mod, "all_pairs_distances", counting)
+        built.clear()
+        z = classify_Z(g)
+        if trivial_count_phi(g, ZZ, max_i=2) < 2:
+            continue
+        monkeypatch.setattr(ideals_mod, "certify", refuse)
+        r = classify_R(g)
+        monkeypatch.undo()
+        assert built == [g]
+        assert not z.verdict and not r.verdict and r.agreement
+        settled += 1
+    # all but 18 of the 996 graphs with n <= 7 have Φ_Z >= 2
+    assert settled == 996 - 18

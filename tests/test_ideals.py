@@ -9,8 +9,9 @@ from math import gcd, lcm
 import pytest
 
 from distideal import ideals as ideals_mod
-from distideal.graph import (all_pairs_distances, build_graph,
-                             enumerate_connected, family, is_connected)
+from distideal.graph import (all_pairs_distances, build_graph, emit_graph6,
+                             enumerate_connected, family, is_connected,
+                             parse_graph6)
 from distideal.groebner import Ideal, ideals_equal
 from distideal.ideals import (Bezout, Point, SymbolicMatrix,
                               _rank_one_point, _vanishes, certify,
@@ -171,11 +172,106 @@ def test_phi_max_i_edges(ring):
         assert trivial_count_phi(g, ring, max_i=g.n + 3) == phi
         assert trivial_count_phi(g, ring, max_i=g.n) == phi
         # a cap is None or a nonnegative int: a float is never equal to
-        # the count, so it would lift the cap
-        for bad in (-1, 1.5, 2.0, "2"):
+        # the count, so it would lift the cap, and True would cap at 1
+        for bad in (-1, 1.5, 2.0, "2", True, False):
             with pytest.raises(ValueError):
                 trivial_count_phi(g, ring, max_i=bad)
     assert trivial_count_phi(k1, ring, max_i=1) == 0
+
+
+# ---------------------------------------------------------------------------
+# the per-graph record of proved bounds
+
+def _fresh(g):
+    """An equal graph object with a record of its own, empty."""
+    return parse_graph6(emit_graph6(g))
+
+
+def _assert_record_matches_fresh(graphs, rng):
+    """Seeded random (ring, cap) sequences on one object per graph, the
+    uncapped and max_i=0 calls among them, each answer against Φ of a
+    fresh object, capped; and what the record then holds is proved:
+    I_1..I_lo trivial, I_hi not."""
+    for g in graphs:
+        phi = {ring: trivial_count_phi(_fresh(g), ring) for ring in (ZZ, QQ)}
+        caps = [None, 0] + list(range(1, g.n + 2))
+        calls = [(rng.choice((ZZ, QQ)), cap)
+                 for cap in [None, 0] + rng.choices(caps, k=4)]
+        rng.shuffle(calls)
+        h = _fresh(g)
+        for ring, cap in calls:
+            want = phi[ring] if cap is None else min(phi[ring], cap)
+            assert trivial_count_phi(h, ring, cap) == want, \
+                (emit_graph6(g), ring, cap)
+        for ring, (lo, hi) in h.ideal_bounds.items():
+            assert lo <= phi[ring] < hi <= g.n + 1, (emit_graph6(g), ring)
+
+
+def test_record_answers_as_fresh_objects_do():
+    graphs = list(enumerate_connected(7))
+    seven = [g for g in graphs if g.n == 7]
+    _assert_record_matches_fresh(
+        [g for g in graphs if g.n <= 6] + random.Random(32).sample(seven, 20),
+        random.Random(7))
+
+
+@pytest.mark.slow
+def test_record_answers_as_fresh_objects_do_seven_vertices():
+    seven = [g for g in enumerate_connected(7) if g.n == 7]
+    _assert_record_matches_fresh(random.Random(33).sample(seven, 200),
+                                 random.Random(8))
+
+
+def test_settled_call_builds_no_matrix(monkeypatch):
+    g = family("cycle", 5)
+    phi = {ring: trivial_count_phi(g, ring) for ring in (ZZ, QQ)}
+    assert phi == {ZZ: 2, QQ: 3}
+
+    def refuse(*args):
+        raise AssertionError("walked a settled call")
+
+    monkeypatch.setattr(ideals_mod, "all_pairs_distances", refuse)
+    monkeypatch.setattr(ideals_mod, "certify", refuse)
+    for ring in (ZZ, QQ):
+        for cap in [None, 0] + list(range(1, g.n + 2)):
+            want = phi[ring] if cap is None else min(phi[ring], cap)
+            assert trivial_count_phi(g, ring, cap) == want
+    # nothing needs a walk at max_i=0, not even on a fresh object
+    assert trivial_count_phi(_fresh(g), ZZ, max_i=0) == 0
+
+
+def test_zz_walk_stops_below_a_qq_nontrivial_step(monkeypatch):
+    read = []
+    real = ideals_mod.certify
+
+    def recording(m, i, ring=ZZ):
+        read.append((i, ring))
+        return real(m, i, ring)
+
+    monkeypatch.setattr(ideals_mod, "certify", recording)
+    tested = 0
+    for g in enumerate_connected(6):
+        h = _fresh(g)
+        j = trivial_count_phi(h, QQ) + 1
+        if j > g.n:
+            continue
+        want = trivial_count_phi(_fresh(g), ZZ)
+        read.clear()
+        assert trivial_count_phi(h, ZZ) == want
+        assert all(ring == ZZ and i < j for i, ring in read), \
+            (emit_graph6(g), j, read)
+        tested += 1
+    assert tested
+
+
+def test_equal_graphs_keep_records_of_their_own():
+    text = emit_graph6(family("cycle", 5))
+    a, b = parse_graph6(text), parse_graph6(text)
+    assert trivial_count_phi(a, QQ) == 3
+    assert a.ideal_bounds == {QQ: (3, 4)}
+    assert b.ideal_bounds == {} and a.ideal_bounds is not b.ideal_bounds
+    # the record is no part of a graph's value
+    assert a == b and hash(a) == hash(b)
 
 
 @pytest.mark.parametrize("tag", ["Q", "Z", "R"])
@@ -815,6 +911,24 @@ def test_check_rejects_non_exact_point():
     assert not check(Point(0, None), g, 2, QQ)
     assert not check(Point(0, (1, 1, 1)), g, 1.5, QQ)
     assert not check(Point(2, 5), family("complete", 4), 2, ZZ)
+
+
+def test_check_rejects_bools():
+    # True == 1 and False == 0, but a bool is not an index, a
+    # coefficient, a modulus or a coordinate
+    c5 = family("cycle", 5)
+    cert = certify(generalized_distance_matrix(c5), 1, ZZ)
+    assert check(cert, c5, 1, ZZ)
+    assert not check(cert, c5, True, ZZ)
+    pair = ((0,), (1,))
+    k4 = family("complete", 4)
+    assert check(Bezout((pair,), (1,)), k4, 1, ZZ)
+    assert not check(Bezout((pair,), (True,)), k4, 1, ZZ)
+    assert not check(Bezout((((False,), (True,)),), (1,)), k4, 1, ZZ)
+    k3 = family("complete", 3)
+    assert check(Point(0, (1, 1, 1)), k3, 2, QQ)
+    assert not check(Point(False, (1, 1, 1)), k3, 2, QQ)
+    assert not check(Point(0, (True, 1, 1)), k3, 2, QQ)
 
 
 def test_check_takes_a_huge_modulus_at_once():
