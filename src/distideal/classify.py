@@ -21,10 +21,12 @@ RINGS = {"Z": (ZZ, FORBIDDEN_Z), "R": (QQ, FORBIDDEN_R)}
 
 
 def _ring(tag):
-    """RINGS[tag]; a tag other than "Z" or "R" raises ValueError."""
-    if tag not in ("Z", "R"):
-        raise ValueError("unknown ring %r: expected 'Z' or 'R'" % (tag,))
-    return RINGS[tag]
+    """RINGS[tag]; a tag not in RINGS raises ValueError."""
+    try:
+        return RINGS[tag]
+    except (KeyError, TypeError):
+        raise ValueError("unknown ring %r: expected %s"
+                         % (tag, " or ".join(map(repr, RINGS)))) from None
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +103,8 @@ def classify_R(g):
 def minimal_forbidden_ok(ring):
     """Each forbidden pattern has exactly two trivial ideals while all of
     its proper connected induced subgraphs have at most one.  The
-    patterns live as long as the process, so a second call reads their
-    Φ off their records."""
+    patterns live as long as the process, so a later call finds their
+    steps 1 and 2 proved on their records and certifies only step 3."""
     coeff_ring, names = _ring(ring)
     for name in names:
         g = PATTERNS[name]

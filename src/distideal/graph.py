@@ -30,9 +30,9 @@ class Graph:
     @cached_property
     def ideal_bounds(self):
         """The distance-ideal bounds proved so far for this instance, ring
-        -> (lo, hi): I_1..I_lo are trivial and I_hi is not (hi = n + 1
-        when no step is known nontrivial).  Made empty on first read and
-        kept while the instance lives; equal graphs do not share it."""
+        -> lo: I_1..I_lo are trivial over that ring, so Φ >= lo.  Made
+        empty on first read and kept while the instance lives; equal
+        graphs do not share it."""
         return {}
 
     def induced(self, vertices):

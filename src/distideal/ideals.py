@@ -17,27 +17,25 @@ comes from ``certify`` when it finds a certificate that integer
 arithmetic can ``check``, and from the Groebner basis of the i-minors
 otherwise; the minors are expanded only when a caller reads the step's
 ideal.  One walker, ``ideal_chain``, builds one symbolic matrix per
-graph and one step per index for ``ideal_report``; ``distance_ideal``
+graph and one step per index, and ``trivial_count_phi`` (Φ) and
+``ideal_report`` read their steps off one walk; ``distance_ideal``
 builds its one step alone.  The chain I_1 ⊇ I_2 ⊇ ... ⊇ I_n makes the
 trivial ideals a prefix of length Φ, so a report reads every verdict
 off Φ: I_i is trivial exactly when i <= Φ, and only the steps 1..Φ + 1
 are ever certified.
 
-``trivial_count_phi`` (Φ) keeps what its walks prove on the graph
-object, as ``Graph.ideal_bounds``: per ring, a trivial prefix and the
-first step known nontrivial.  The chain is the same in both rings and
-an ideal trivial over ZZ is trivial over QQ, so Φ_ZZ <= Φ_QQ: a ZZ
-prefix counts over QQ and a QQ-nontrivial step caps a ZZ walk.  A call
-walks only the steps those bounds leave open, and builds no matrix
-when they fix its answer; the record holds bounds only, never D(G) or
-a basis.  No function here bounds n: the n <= 8 bound belongs to the
-CLI.
+Φ keeps the trivial prefix its walks prove on the graph object, as
+``Graph.ideal_bounds``, one count per ring, and a later walk starts
+past it.  An ideal trivial over ZZ is trivial over QQ, so the ZZ
+prefix counts over QQ too; the record holds these counts only, never
+D(G) or a basis.  No function here bounds n: the n <= 8 bound belongs
+to the CLI.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -248,29 +246,22 @@ def trivial_count_phi(g, ring=ZZ, max_i=None):
     """Largest i with trivial i-th distance ideal (0 if none); max_i
     caps the scan for callers that only need a threshold comparison.
 
-    The walk reads and extends ``g.ideal_bounds``, the bounds already
-    proved for this graph object.  Trivial over ZZ is trivial over QQ,
-    so a ZZ-trivial prefix counts over QQ, and a QQ-nontrivial I_j caps
-    the ZZ walk at j - 1.  Only the steps those bounds leave open are
-    certified, and a call whose answer they fix (such as max_i=0)
-    builds no matrix at all."""
+    The walk starts past the trivial prefix already proved for this
+    graph object, ``g.ideal_bounds``, and records the prefix it ends
+    with.  Trivial over ZZ is trivial over QQ, so a ZZ prefix counts
+    over QQ too.  A call whose cap that prefix reaches builds no
+    matrix; so max_i=0 reads nothing of g and checks nothing, not even
+    that g is connected."""
     if max_i is not None and not (type(max_i) is int and max_i >= 0):
         raise ValueError("max_i must be None or a nonnegative int")
     check_ring(ring)
-    bounds = g.ideal_bounds
-    lo, hi = bounds.get(ring, (0, g.n + 1))
-    if ring == QQ and ZZ in bounds:
-        lo = max(lo, bounds[ZZ][0])
-    if ring == ZZ and QQ in bounds:
-        hi = min(hi, bounds[QQ][1])
-    top = hi - 1 if max_i is None else min(hi - 1, max_i)
+    proved = g.ideal_bounds
+    # the ZZ prefix counts in both rings
+    lo = max(proved.get(ZZ, 0), proved.get(ring, 0))
+    top = g.n if max_i is None else min(g.n, max_i)
     if lo < top:
-        m = generalized_distance_matrix(g)
-        while lo < top and Step(m, lo + 1, ring).trivial:
-            lo += 1
-        if lo < top:
-            hi = lo + 1
-        bounds[ring] = (lo, hi)
+        lo += _leading_trivial(islice(ideal_chain(g, ring), lo, top))
+        proved[ring] = lo
     return min(lo, top)
 
 

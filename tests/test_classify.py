@@ -132,7 +132,7 @@ def test_classify_needs_no_groebner_basis(monkeypatch):
             assert classify_Z(g).agreement and classify_R(g).agreement
 
 
-@pytest.mark.parametrize("tag", ["Q", ZZ, QQ, "r", None])
+@pytest.mark.parametrize("tag", ["Q", ZZ, QQ, "r", None, ["Z"]])
 def test_unknown_ring_tag_raises(monkeypatch, tag):
     import distideal.classify as classify_mod
     c4 = family("cycle", 4)

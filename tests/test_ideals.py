@@ -191,7 +191,7 @@ def _assert_record_matches_fresh(graphs, rng):
     """Seeded random (ring, cap) sequences on one object per graph, the
     uncapped and max_i=0 calls among them, each answer against Φ of a
     fresh object, capped; and what the record then holds is proved:
-    I_1..I_lo trivial, I_hi not."""
+    I_1..I_lo trivial."""
     for g in graphs:
         phi = {ring: trivial_count_phi(_fresh(g), ring) for ring in (ZZ, QQ)}
         caps = [None, 0] + list(range(1, g.n + 2))
@@ -203,8 +203,8 @@ def _assert_record_matches_fresh(graphs, rng):
             want = phi[ring] if cap is None else min(phi[ring], cap)
             assert trivial_count_phi(h, ring, cap) == want, \
                 (emit_graph6(g), ring, cap)
-        for ring, (lo, hi) in h.ideal_bounds.items():
-            assert lo <= phi[ring] < hi <= g.n + 1, (emit_graph6(g), ring)
+        for ring, lo in h.ideal_bounds.items():
+            assert lo <= phi[ring], (emit_graph6(g), ring)
 
 
 def test_record_answers_as_fresh_objects_do():
@@ -226,21 +226,29 @@ def test_settled_call_builds_no_matrix(monkeypatch):
     g = family("cycle", 5)
     phi = {ring: trivial_count_phi(g, ring) for ring in (ZZ, QQ)}
     assert phi == {ZZ: 2, QQ: 3}
+    assert g.ideal_bounds == {ZZ: 2, QQ: 3}
 
     def refuse(*args):
         raise AssertionError("walked a settled call")
 
     monkeypatch.setattr(ideals_mod, "all_pairs_distances", refuse)
     monkeypatch.setattr(ideals_mod, "certify", refuse)
+    # a cap the proved prefix reaches is settled
     for ring in (ZZ, QQ):
-        for cap in [None, 0] + list(range(1, g.n + 2)):
-            want = phi[ring] if cap is None else min(phi[ring], cap)
-            assert trivial_count_phi(g, ring, cap) == want
-    # nothing needs a walk at max_i=0, not even on a fresh object
-    assert trivial_count_phi(_fresh(g), ZZ, max_i=0) == 0
+        for cap in range(phi[ring] + 1):
+            assert trivial_count_phi(g, ring, cap) == cap
+    # a fresh object's QQ call up to the ZZ prefix is settled by ZZ
+    h = _fresh(g)
+    monkeypatch.undo()
+    assert trivial_count_phi(h, ZZ, max_i=2) == 2
+    monkeypatch.setattr(ideals_mod, "all_pairs_distances", refuse)
+    monkeypatch.setattr(ideals_mod, "certify", refuse)
+    assert trivial_count_phi(h, QQ, max_i=2) == 2
+    assert h.ideal_bounds == {ZZ: 2}
 
 
-def test_zz_walk_stops_below_a_qq_nontrivial_step(monkeypatch):
+def test_walk_starts_past_the_proved_prefix(monkeypatch):
+    # a QQ walk after a ZZ one reads only the steps past Φ_ZZ
     read = []
     real = ideals_mod.certify
 
@@ -249,26 +257,34 @@ def test_zz_walk_stops_below_a_qq_nontrivial_step(monkeypatch):
         return real(m, i, ring)
 
     monkeypatch.setattr(ideals_mod, "certify", recording)
-    tested = 0
     for g in enumerate_connected(6):
         h = _fresh(g)
-        j = trivial_count_phi(h, QQ) + 1
-        if j > g.n:
-            continue
-        want = trivial_count_phi(_fresh(g), ZZ)
+        phi_z = trivial_count_phi(h, ZZ)
+        want = trivial_count_phi(_fresh(g), QQ)
         read.clear()
-        assert trivial_count_phi(h, ZZ) == want
-        assert all(ring == ZZ and i < j for i, ring in read), \
-            (emit_graph6(g), j, read)
-        tested += 1
-    assert tested
+        assert trivial_count_phi(h, QQ) == want
+        assert all(ring == QQ and i > phi_z for i, ring in read), \
+            (emit_graph6(g), read)
+        assert bool(read) == (phi_z < g.n)
+
+
+def test_max_i_zero_reads_nothing_of_the_graph():
+    # documented: max_i=0 answers 0 off no walk, so it checks nothing,
+    # while any call that walks still refuses a disconnected graph
+    g = build_graph(4, [(0, 1), (2, 3)])
+    assert not is_connected(g)
+    for ring in (ZZ, QQ):
+        assert trivial_count_phi(g, ring, max_i=0) == 0
+        with pytest.raises(ValueError):
+            trivial_count_phi(g, ring, max_i=1)
+    assert g.ideal_bounds == {}
 
 
 def test_equal_graphs_keep_records_of_their_own():
     text = emit_graph6(family("cycle", 5))
     a, b = parse_graph6(text), parse_graph6(text)
     assert trivial_count_phi(a, QQ) == 3
-    assert a.ideal_bounds == {QQ: (3, 4)}
+    assert a.ideal_bounds == {QQ: 3}
     assert b.ideal_bounds == {} and a.ideal_bounds is not b.ideal_bounds
     # the record is no part of a graph's value
     assert a == b and hash(a) == hash(b)
