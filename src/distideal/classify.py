@@ -102,22 +102,21 @@ def classify_R(g):
 
 def minimal_forbidden_ok(ring):
     """Each forbidden pattern has exactly two trivial ideals while all of
-    its proper connected induced subgraphs have at most one.  The
+    its proper connected induced subgraphs have at most one.  Φ is read
+    once for each distinct subgraph, not each copy: ``Graph.induced``
+    relabels in increasing order, so equal copies are one value.  The
     patterns live as long as the process, so a later call finds their
     steps 1 and 2 proved on their records and certifies only step 3."""
     coeff_ring, names = _ring(ring)
-    for name in names:
-        g = PATTERNS[name]
-        if trivial_count_phi(g, coeff_ring, max_i=3) != 2:
-            return False
-        for size in range(1, g.n):
-            for subset in combinations(range(g.n), size):
-                h = g.induced(subset)
-                if not is_connected(h):
-                    continue
-                if trivial_count_phi(h, coeff_ring, max_i=2) > 1:
-                    return False
-    return True
+    patterns = [PATTERNS[name] for name in names]
+    subgraphs = dict.fromkeys(
+        h for g in patterns for size in range(1, g.n)
+        for h in map(g.induced, combinations(range(g.n), size))
+        if is_connected(h))
+    return (all(trivial_count_phi(g, coeff_ring, max_i=3) == 2
+                for g in patterns)
+            and all(trivial_count_phi(h, coeff_ring, max_i=2) <= 1
+                    for h in subgraphs))
 
 
 @dataclass
@@ -152,23 +151,20 @@ def corpus_report(n_max, ring):
     """Run all three deciders over the connected corpus and compare.  An
     unknown ring tag raises ValueError before any graph is built."""
     _ring(ring)
-    passing = 0
     per_size = {}
     disagreements = []
     for g in enumerate_connected(n_max):
         rep = classify(g, ring)
         stats = per_size.setdefault(g.n, {"total": 0, "passing": 0})
         stats["total"] += 1
-        if rep.ideal_based:
-            passing += 1
-            stats["passing"] += 1
+        stats["passing"] += rep.ideal_based
         if not rep.agreement:
             disagreements.append(emit_graph6(g))
     return CorpusReport(
         ring=ring,
         n_max=n_max,
         total=sum(s["total"] for s in per_size.values()),
-        passing=passing,
+        passing=sum(s["passing"] for s in per_size.values()),
         per_size=per_size,
         disagreements=disagreements,
         minimal_forbidden=minimal_forbidden_ok(ring),

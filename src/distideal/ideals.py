@@ -165,8 +165,7 @@ def minors(matrix, i):
     output.  The Groebner loop takes the minors in this order, constants
     first, so a unit minor ends it at once."""
     n = matrix.n
-    if not (1 <= i <= n):
-        raise ValueError("minor size out of range")
+    snf.check_index(i, n)
     terms = matrix._terms
     masks = snf.subset_masks(n, i)
     parities = [_parity(R) for R in masks]
@@ -237,8 +236,7 @@ def _leading_trivial(steps):
 
 
 def distance_ideal(g, i, ring=ZZ):
-    if not (1 <= i <= g.n):
-        raise ValueError("ideal index out of range")
+    snf.check_index(i, g.n)
     return Step(generalized_distance_matrix(g), i, ring)
 
 
@@ -461,8 +459,7 @@ def evaluate_ideal(g, i, point):
     product of the first i invariant factors of its Smith normal form."""
     if len(point) != g.n:
         raise ValueError("evaluation point has wrong length")
-    if not (1 <= i <= g.n):
-        raise ValueError("minor size out of range")
+    snf.check_index(i, g.n)
     return _delta(all_pairs_distances(g), point, i)
 
 
@@ -523,8 +520,8 @@ def ideal_report(g, ring=ZZ, indices=None):
     and a requested step above Φ + 1 is never certified.
     """
     indices = list(indices) if indices is not None else list(range(1, g.n + 1))
-    if not all(1 <= i <= g.n for i in indices):
-        raise ValueError("ideal index out of range")
+    for i in indices:
+        snf.check_index(i, g.n)
     steps = list(ideal_chain(g, ring))
     phi = _leading_trivial(steps)
     records = [{

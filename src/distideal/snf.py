@@ -151,6 +151,14 @@ class LaplaceMemo:
         return total
 
 
+def check_index(i, n):
+    """Raise ValueError unless ``i``, an ideal index or a minor size, is
+    an int in 1..n; a bool is not an int here.  The one range rule of
+    ``minors_gcd`` and of every index that ``ideals`` takes."""
+    if not (type(i) is int and 1 <= i <= n):
+        raise ValueError("index %r out of range 1..%d" % (i, n))
+
+
 def subset_masks(n, i):
     """The bitmasks of the i-subsets of range(n), in the lex order of
     their index tuples."""
@@ -165,8 +173,7 @@ def minors_gcd(matrix, i):
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    if not (1 <= i <= min(rows, cols)):
-        raise ValueError("minor size out of range")
+    check_index(i, min(rows, cols))
     det = LaplaceMemo(matrix).det
     col_masks = subset_masks(cols, i)
     g = 0

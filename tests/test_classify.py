@@ -7,6 +7,7 @@ from distideal.classify import (FORBIDDEN_R, FORBIDDEN_Z, classify,
 from distideal.graph import PATTERNS, build_graph, enumerate_connected, family
 from distideal.ideals import trivial_count_phi
 from distideal.poly import QQ, ZZ
+from reference_classify import minimal_forbidden_ok as minimal_forbidden_ref
 
 
 def test_structural_recognizers():
@@ -66,6 +67,48 @@ def test_z_pass_implied_by_r_pass():
 def test_minimal_forbidden():
     assert minimal_forbidden_ok("Z")
     assert minimal_forbidden_ok("R")
+
+
+# one pattern replaced by each of these graphs fails a test: K3 its own
+# in both rings (Φ = 1), as do K_{2,3} over Z (Φ = 1) and the others over
+# R (Φ = 3); P5, C5 and C6 that of an induced P4 over Z, and K_{2,3} that
+# of an induced C4 over R.  On five and six vertices the copies of one
+# subgraph come in several labellings.
+@pytest.mark.parametrize("spec", [("complete", 3), ("path", 5), ("cycle", 5),
+                                  ("cycle", 6), ("complete_bipartite", 2, 3)])
+@pytest.mark.parametrize("ring", ["Z", "R"])
+def test_minimal_forbidden_matches_the_per_copy_loop(monkeypatch, ring,
+                                                      spec):
+    import distideal.classify as classify_mod
+    assert minimal_forbidden_ok(ring) is minimal_forbidden_ref(ring) is True
+    for name in classify_mod.RINGS[ring][1]:
+        monkeypatch.setattr(classify_mod, "PATTERNS",
+                            dict(PATTERNS, **{name: family(*spec)}))
+        assert minimal_forbidden_ok(ring) is False, name
+        assert minimal_forbidden_ref(ring) is False, name
+
+
+@pytest.mark.parametrize("ring, own, corpus", [("Z", 3, 5), ("R", 6, 8)])
+def test_minimal_forbidden_buchberger_calls(monkeypatch, ring, own, corpus):
+    # one Buchberger run for each distinct ideal that no certificate
+    # settles: I_3 of each pattern (over Z only of the paw, since Smith
+    # points settle P4 and the diamond), and I_1 of K1 and I_2 of K2,
+    # below n = 3 where the rules stop (was 25 and 36, once per copy)
+    import distideal.groebner as groebner_mod
+    calls = []
+    real = groebner_mod.buchberger
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner_mod, "buchberger", counting)
+    assert minimal_forbidden_ok(ring)
+    assert len(calls) == own
+    # a corpus adds K1 and K2 of its own (was 27 and 38)
+    calls.clear()
+    assert corpus_report(7, ring).ok
+    assert len(calls) == corpus
 
 
 def test_corpus_report_n4_counts():

@@ -176,6 +176,19 @@ def test_families_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
     assert [r["ok"] for r in rows] == [r["kind"] != "star" for r in rows]
 
 
+def test_families_verify_exits_2_on_a_wrong_determinant(monkeypatch, capsys):
+    # the real verify_family, with a closed-form star determinant off by
+    # one: every star row fails on its determinant, and only they do
+    real = families_mod.star_det
+    monkeypatch.setattr(families_mod, "star_det", lambda m: real(m) + 1)
+    code, out, _ = run(capsys, "families", "verify")
+    lines = out.splitlines()
+    assert code == 2
+    assert [line.startswith("star") for line in lines] == \
+        [line.endswith("FAIL") for line in lines]
+    assert any(line.startswith("star") for line in lines)
+
+
 def test_corpus_counts(capsys):
     payload = run_json(capsys, "corpus", "--nmax", "5", "--format", "json")
     assert payload["counts"] == {"1": 1, "2": 1, "3": 2, "4": 6, "5": 21}
@@ -334,6 +347,13 @@ def test_edges_file_header_with_extra_token(capsys, tmp_path):
     assert code == 1
     assert err == ("error: %s line 2: expected 1 integer (the vertex "
                    "count), got '3 extra'\n" % path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# comment only\n"])
+def test_edges_file_empty(capsys, tmp_path, text):
+    path = _edges_file(tmp_path, text)
+    code, out, err = run(capsys, "matrix", "--edges-file", path)
+    assert (code, out, err) == (1, "", "error: empty edges file\n")
 
 
 def test_edges_file_bad_tokens(capsys, tmp_path):

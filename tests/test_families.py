@@ -1,5 +1,6 @@
 import pytest
 
+from distideal import families as families_mod
 from distideal.families import (FamilySpec, complete_ideal_gens, mdiag_det,
                                 mdiag_ideal_gens, mdiag_matrix, star_det,
                                 star_ideal_gens, star_matrix, star_vars,
@@ -163,6 +164,33 @@ def test_verify_family_any_size(kind, n, m):
     ("mdiag", 7, 3), ("mdiag", 8, 5)])
 def test_verify_family_large(kind, n, m):
     assert verify_family(FamilySpec(kind, n=n, m=m))
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("mdiag_det", FamilySpec("mdiag", n=3, m=2)),
+    ("star_det", FamilySpec("star", m=3))])
+def test_verify_family_rejects_a_wrong_determinant(monkeypatch, name, spec):
+    # the generators still match; only the determinant is off by one
+    real = getattr(families_mod, name)
+    monkeypatch.setattr(families_mod, name, lambda *args: real(*args) + 1)
+    assert verify_family(spec) is False
+
+
+@pytest.mark.parametrize("call", [
+    lambda: complete_ideal_gens(3, 0),
+    lambda: complete_ideal_gens(3, 4),
+    lambda: mdiag_det(0, 1),
+    lambda: mdiag_det(2, -1),
+    lambda: mdiag_ideal_gens(3, 1, 0),
+    lambda: mdiag_ideal_gens(3, 1, 3),
+    lambda: mdiag_ideal_gens(3, -1, 1),
+    lambda: star_det(0),
+    lambda: star_ideal_gens(3, 0),
+    lambda: star_ideal_gens(3, 4),
+    lambda: verify_family(FamilySpec("wheel", n=4))])
+def test_family_generators_range_checks(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_verification_table_all_pass():

@@ -75,6 +75,12 @@ def test_family_join_split():
 def test_family_bad_size():
     with pytest.raises(ValueError):
         family("complete", 0)
+    with pytest.raises(ValueError, match="vertex count must be positive"):
+        build_graph(0, [])
+    with pytest.raises(ValueError, match="at least 3"):
+        family("cycle", 2)
+    with pytest.raises(ValueError, match="unknown family 'wheel'"):
+        family("wheel", 5)
 
 
 def test_graph6_k3():

@@ -189,6 +189,31 @@ def test_verify_rejects_changed_coefficient(ring, gens):
         assert fake.verify() is False, k
 
 
+@pytest.mark.parametrize("ring,gens", VERIFY_CASES)
+def test_verify_rejects_negated_element(ring, gens):
+    # the true basis with one element negated spans the same ideal, but
+    # the reduction it is checked with divides by positive leading
+    # coefficients, so verify refuses it before any reduction
+    basis = Ideal(ring, V, gens).basis
+    for k, p in enumerate(basis):
+        fake = _with_basis(ring, gens, basis[:k] + (-p,) + basis[k + 1:])
+        assert fake.verify() is False, k
+
+
+def test_ideal_rejects_generator_over_other_registry():
+    with pytest.raises(ValueError, match="wrong registry"):
+        Ideal(ZZ, V, [x(), Polynomial.variable(ZZ, make_vars(3), "x2")])
+
+
+def test_ideals_equal_needs_one_ring_and_registry():
+    a = Ideal(ZZ, V, [x()])
+    for b in (Ideal(QQ, V, [x(QQ)]),
+              Ideal(ZZ, make_vars(3), [Polynomial.variable(
+                  ZZ, make_vars(3), "x0")])):
+        with pytest.raises(ValueError, match="different rings"):
+            ideals_equal(a, b)
+
+
 def test_verify_needs_gcd_pairs():
     # every generator and the only S-pair of (2x0, 3x1) reduce to zero;
     # the gcd-pair x0*x1 does not, and the true basis holds it

@@ -116,6 +116,27 @@ def test_minors_range_guard():
     assert ideal_report(big, ZZ, [1])["phi"] == 2
 
 
+# every function that takes an ideal index or a minor size checks it by
+# one rule: an int in 1..n, a bool not counting as one
+_C5 = family("cycle", 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda i: distance_ideal(_C5, i),
+    lambda i: minors(generalized_distance_matrix(_C5), i),
+    lambda i: minors_gcd(all_pairs_distances(_C5), i),
+    lambda i: ideal_report(_C5, ZZ, [1, i]),
+    lambda i: evaluate_ideal(_C5, i, (0,) * 5)],
+    ids=["distance_ideal", "minors", "minors_gcd", "ideal_report",
+         "evaluate_ideal"])
+@pytest.mark.parametrize("i", [0, 6, -1, 1.5, 2.0, True, False, "2", None])
+def test_one_rule_for_an_ideal_index(call, i):
+    with pytest.raises(ValueError, match=r"out of range 1\.\.5"):
+        call(i)
+    # and an int in range is taken
+    call(2)
+
+
 def test_claw_i2_golden():
     res = distance_ideal(CLAW, 2)
     v = res.ideal.vars

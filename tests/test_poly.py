@@ -39,6 +39,10 @@ def test_registry_mismatch():
         Polynomial(ZZ, V, {(1, 0): 1})
     with pytest.raises(ValueError):
         x(0) + Polynomial.variable(ZZ, make_vars(2), "x0")
+    with pytest.raises(ValueError, match="ring mismatch"):
+        x(0) + x(0, QQ)
+    with pytest.raises(ValueError, match="unknown variable 'y'"):
+        Polynomial.variable(ZZ, V, "y")
 
 
 def test_expand_product():

@@ -40,6 +40,17 @@ def test_nonrectangular_rejected():
         smith_normal_form([[1, 2], [3]])
 
 
+def test_minors_gcd_range_check():
+    # a 2 x 3 matrix has minors of sizes 1 and 2 only
+    m = [[1, 2, 3], [4, 5, 6]]
+    assert minors_gcd(m, 2) == 3
+    for i in (0, 3, True):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+            minors_gcd(m, i)
+    with pytest.raises(ValueError, match=r"out of range 1\.\.0"):
+        minors_gcd([], 1)
+
+
 def _check_transforms(matrix):
     res = smith_normal_form(matrix, with_transforms=True)
     r, c = len(matrix), len(matrix[0])
